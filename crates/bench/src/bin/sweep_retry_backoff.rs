@@ -9,7 +9,6 @@
 //! the choice costs. Too low and healthy-but-slow requests retry
 //! spuriously (retries explode); too high and requests caught by the
 //! crash stall for most of a second before failing over (p99 explodes).
-//! Rows land in `results/bench.json` under this binary's name.
 
 use press_bench::{quiet, run_all, standard_config};
 use press_core::{FaultPlan, Job};

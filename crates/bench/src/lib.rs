@@ -22,7 +22,7 @@
 //! override the defaults, and message counts are extrapolated to the full
 //! trace length for table comparisons.
 
-use press_core::{run_simulation, ExperimentRunner, Job, Metrics, RunResult, SimConfig};
+use press_core::{run_simulation, ExperimentRunner, Job, Metrics, SimConfig};
 use press_trace::TracePreset;
 
 pub use press_core::batch::threads_from_env;
@@ -88,9 +88,7 @@ fn log_result(label: &str, m: &Metrics) {
 /// The thread count comes from `PRESS_THREADS` (default: all cores);
 /// `PRESS_THREADS=1` recovers sequential execution. Results come back in
 /// submission order either way, so anything printed from the returned
-/// vector is byte-identical to a sequential run. Progress goes to stderr;
-/// per-job wall time and throughput are appended to `results/bench.json`
-/// (override the path with `PRESS_BENCH_LOG`).
+/// vector is byte-identical to a sequential run. Progress goes to stderr.
 pub fn run_all(jobs: Vec<Job>) -> Vec<Metrics> {
     let runner = ExperimentRunner::from_env();
     let results = if runner.threads() == 1 {
@@ -120,89 +118,7 @@ pub fn run_all(jobs: Vec<Job>) -> Vec<Metrics> {
         }
         results
     };
-    record_timings(&results);
     results.into_iter().map(|r| r.metrics).collect()
-}
-
-/// Records one JSON line per result in the machine-readable timing log.
-///
-/// Each row is `{"bin": ..., "label": ..., "wall_ms": ...,
-/// "throughput_rps": ...}`. The default path is `results/bench.json`
-/// under the current directory (created, directories included, when
-/// absent); `PRESS_BENCH_LOG` overrides it. Appending is idempotent:
-/// re-running a binary *replaces* its previous rows for the same labels
-/// instead of stacking duplicates, so the log converges to one row per
-/// `(bin, label)` however many times experiments are re-run. Logging is
-/// best-effort: IO problems never fail an experiment run.
-pub fn record_timings(results: &[RunResult]) {
-    let bin = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.file_stem().map(|s| s.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "unknown".into());
-    record_timings_as(&bin, results);
-}
-
-/// [`record_timings`] with an explicit `bin` name — for callers that are
-/// not experiment binaries (e.g. `press sweep`).
-pub fn record_timings_as(bin: &str, results: &[RunResult]) {
-    let path = std::env::var("PRESS_BENCH_LOG").unwrap_or_else(|_| "results/bench.json".into());
-    if let Some(dir) = std::path::Path::new(&path).parent() {
-        if !dir.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-    }
-    let bin = json_escape(bin);
-    // Idempotency: drop previously-logged rows this batch supersedes.
-    let fresh: Vec<String> = results.iter().map(|r| json_escape(&r.label)).collect();
-    let mut rows: Vec<String> = std::fs::read_to_string(&path)
-        .map(|s| s.lines().map(str::to_owned).collect())
-        .unwrap_or_default();
-    rows.retain(|row| {
-        row_field(row, "bin") != Some(&bin)
-            || !row_field(row, "label").is_some_and(|l| fresh.iter().any(|f| f == l))
-    });
-    for r in results {
-        rows.push(format!(
-            r#"{{"bin": "{}", "label": "{}", "wall_ms": {:.3}, "throughput_rps": {:.3}}}"#,
-            bin,
-            json_escape(&r.label),
-            r.wall.as_secs_f64() * 1e3,
-            r.metrics.throughput_rps
-        ));
-    }
-    let mut body = rows.join("\n");
-    body.push('\n');
-    let _ = std::fs::write(&path, body);
-}
-
-/// Extracts the string value of `key` from one logged row. The rows are
-/// written (and escaped) by this module, so the simple `"key": "value"`
-/// shape is the only one that needs parsing.
-fn row_field<'a>(row: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!(r#""{key}": ""#);
-    let start = row.find(&tag)? + tag.len();
-    let rest = row.get(start..)?;
-    let bytes = rest.as_bytes();
-    let mut end = 0;
-    while end < bytes.len() {
-        match bytes[end] {
-            b'\\' => end += 2,
-            b'"' => return rest.get(..end),
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Renders a labeled bar of relative height, paper-figure style.
@@ -255,19 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_covers_specials() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("tab\there"), "tab\\u0009here");
-        assert_eq!(json_escape("plain"), "plain");
-    }
-
-    #[test]
-    fn run_all_returns_submission_order_and_logs_rows() {
-        let log =
-            std::env::temp_dir().join(format!("press-bench-test-{}.json", std::process::id()));
-        let _ = std::fs::remove_file(&log);
-        std::env::set_var("PRESS_BENCH_LOG", &log);
-
+    fn run_all_returns_submission_order() {
         let mut slow = SimConfig::quick_demo();
         slow.warmup_requests = 100;
         slow.measure_requests = 600;
@@ -278,41 +182,5 @@ mod tests {
         assert_eq!(metrics.len(), 2);
         assert_eq!(metrics[0].measured_requests, 600);
         assert_eq!(metrics[1].measured_requests, 300);
-
-        let rows = std::fs::read_to_string(&log).expect("bench log written");
-        let lines: Vec<&str> = rows.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains(r#""label": "first""#), "{}", lines[0]);
-        assert!(lines[1].contains(r#""label": "second""#), "{}", lines[1]);
-        assert!(lines[0].contains(r#""wall_ms": "#));
-
-        // Idempotent appending: re-running the same labels replaces the
-        // old rows instead of duplicating them; new labels still append.
-        let mut third = SimConfig::quick_demo();
-        third.warmup_requests = 100;
-        third.measure_requests = 200;
-        let again = vec![Job::new("second", third.clone()), Job::new("third", third)];
-        run_all(again);
-        let rows = std::fs::read_to_string(&log).expect("bench log rewritten");
-        let lines: Vec<&str> = rows.lines().collect();
-        assert_eq!(lines.len(), 3, "{rows}");
-        assert_eq!(
-            lines
-                .iter()
-                .filter(|l| l.contains(r#""label": "second""#))
-                .count(),
-            1
-        );
-        assert!(lines[2].contains(r#""label": "third""#), "{}", lines[2]);
-        let _ = std::fs::remove_file(&log);
-        std::env::remove_var("PRESS_BENCH_LOG");
-    }
-
-    #[test]
-    fn row_fields_parse_back_out_of_logged_rows() {
-        let row = r#"{"bin": "fig5_versions", "label": "clarknet\"x", "wall_ms": 1.0}"#;
-        assert_eq!(row_field(row, "bin"), Some("fig5_versions"));
-        assert_eq!(row_field(row, "label"), Some(r#"clarknet\"x"#));
-        assert_eq!(row_field(row, "missing"), None);
     }
 }

@@ -306,9 +306,6 @@ pub struct ChaosReport {
     pub cards: Vec<SloCard>,
     /// The steady-state baseline p99 the targets were derived from.
     pub steady_p99_ms: f64,
-    /// Per-scenario simulator metrics, aligned with `cards` (empty for
-    /// the live engine, whose stats live in the cards alone).
-    pub metrics: Vec<Metrics>,
     /// Flight-recorder snapshots taken during the suite (a circuit
     /// breaker opened mid-scenario), labeled with the scenario name.
     pub flight_dumps: Vec<(String, FlightDump)>,
@@ -336,18 +333,15 @@ pub fn run_suite_sim(base: &SimConfig, protected: bool, smoke: bool) -> ChaosRep
         ..steady_card
     }];
     let steady_p99_ms = steady_m.p99_response_ms;
-    let mut metrics = vec![steady_m];
     let mut flight_dumps = steady_dumps;
     for sc in &suite[1..] {
-        let (card, m, dumps) = run_chaos_scenario_sim(base, sc, protected, target);
+        let (card, _, dumps) = run_chaos_scenario_sim(base, sc, protected, target);
         cards.push(card);
-        metrics.push(m);
         flight_dumps.extend(dumps);
     }
     ChaosReport {
         cards,
         steady_p99_ms,
-        metrics,
         flight_dumps,
     }
 }

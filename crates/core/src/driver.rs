@@ -8,6 +8,7 @@ use press_net::ProtocolCombo;
 use press_sim::{FaultPlan, SimTime, Simulator};
 use press_trace::{RequestLog, ScenarioPlan, TracePreset, Workload, WorkloadSpec};
 
+use crate::forward::MAX_NODES;
 use crate::load::Dissemination;
 use crate::metrics::Metrics;
 use crate::overload::OverloadConfig;
@@ -64,6 +65,39 @@ pub struct SimConfig {
     /// [`ScenarioPlan::none`] (the default) is inert.
     pub scenario: ScenarioPlan,
 }
+
+/// Why a [`SimConfig`] cannot run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// The cluster needs at least two nodes (the paper's protocol has
+    /// nothing to distribute on one).
+    TooFewNodes(usize),
+    /// More nodes than a node mask holds ([`MAX_NODES`]).
+    TooManyNodes(usize),
+    /// No closed-loop clients.
+    NoClients,
+    /// Nothing to measure.
+    NoMeasuredRequests,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::TooFewNodes(n) => {
+                write!(f, "{n} node(s): the cluster needs at least two nodes")
+            }
+            ConfigError::TooManyNodes(n) => {
+                write!(f, "{n} nodes: at most {MAX_NODES} nodes are supported")
+            }
+            ConfigError::NoClients => f.write_str("no clients: at least one per node is needed"),
+            ConfigError::NoMeasuredRequests => {
+                f.write_str("0 measured requests: nothing to measure")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// Where the workload comes from.
 #[derive(Debug, Clone)]
@@ -162,6 +196,25 @@ impl SimConfig {
         }
     }
 
+    /// Checks the limits a run needs before anything is built.
+    ///
+    /// # Errors
+    ///
+    /// The first [`ConfigError`] the configuration violates.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nodes < 2 {
+            Err(ConfigError::TooFewNodes(self.nodes))
+        } else if self.nodes > MAX_NODES {
+            Err(ConfigError::TooManyNodes(self.nodes))
+        } else if self.clients_per_node == 0 {
+            Err(ConfigError::NoClients)
+        } else if self.measure_requests == 0 {
+            Err(ConfigError::NoMeasuredRequests)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Builds the request source described by this configuration.
     ///
     /// Synthetic workloads are memoized per `(spec, seed)`: repeated runs
@@ -199,7 +252,7 @@ impl SimConfig {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is degenerate (zero nodes or clients) or if
+/// Panics if [`SimConfig::validate`] rejects the configuration, or if
 /// the simulation fails to reach its measurement target (a model bug).
 ///
 /// # Example
@@ -256,9 +309,9 @@ fn run_inner(
     Option<press_telem::Trace>,
     Option<press_telem::FlightRecorder>,
 ) {
-    assert!(cfg.nodes >= 2, "the cluster needs at least two nodes");
-    assert!(cfg.clients_per_node >= 1, "at least one client per node");
-    assert!(cfg.measure_requests >= 1, "nothing to measure");
+    if let Err(e) = cfg.validate() {
+        panic!("invalid simulation config: {e}");
+    }
     cfg.faults.assert_valid(cfg.nodes);
     let source = cfg.build_source();
     cfg.scenario.assert_valid(
@@ -459,6 +512,27 @@ mod tests {
         let m = run_simulation(&cfg);
         assert_eq!(m.measured_requests, 1_200);
         assert!(m.hit_rate > 0.9, "tiny cycled working set should hit");
+    }
+
+    #[test]
+    fn validate_names_the_first_violated_limit() {
+        let mut cfg = SimConfig::quick_demo();
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.nodes = MAX_NODES;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.nodes = MAX_NODES + 1;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooManyNodes(MAX_NODES + 1))
+        );
+        cfg.nodes = 1;
+        assert_eq!(cfg.validate(), Err(ConfigError::TooFewNodes(1)));
+        cfg.nodes = 4;
+        cfg.clients_per_node = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::NoClients));
+        cfg.clients_per_node = 1;
+        cfg.measure_requests = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::NoMeasuredRequests));
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //!   ([`Dissemination`]): piggy-backing, thresholded broadcast, none;
 //! * the **server versions V0–V5** of Table 3 ([`ServerVersion`]):
 //!   increasing use of VIA remote memory writes and zero-copy;
+//! * the **forwarding core** both engines share ([`forward`]): the
+//!   caching directory, per-peer circuit breakers, the breaker divert
+//!   and the timeout re-route;
 //! * the **cluster simulation** ([`ClusterSim`], [`run_simulation`])
 //!   combining the policy with the calibrated cost models of `press-net`
 //!   and the node hardware of `press-cluster`.
@@ -31,6 +34,7 @@
 pub mod batch;
 pub mod chaos;
 mod driver;
+pub mod forward;
 mod load;
 mod metrics;
 mod overload;
@@ -39,7 +43,8 @@ mod server;
 mod version;
 
 pub use batch::{ExperimentRunner, Job, RunResult};
-pub use driver::{run_simulation, run_simulation_traced, SimConfig, WorkloadSource};
+pub use driver::{run_simulation, run_simulation_traced, ConfigError, SimConfig, WorkloadSource};
+pub use forward::{CacheDirectory, NodeList, PeerGuard, Reroute};
 pub use load::Dissemination;
 pub use metrics::Metrics;
 pub use overload::{BreakerConfig, CircuitBreaker, OverloadConfig};

@@ -135,8 +135,8 @@ pub fn decide(cfg: &PolicyConfig, view: &RequestView<'_>) -> Decision {
 }
 
 /// The power-of-two-choices variant of [`decide`]: the candidate set is
-/// restricted to the probed cachers (`probed`, with `probed_loads[i]`
-/// the load peer `probed[i]` reported), whose loads are *fresh* rather
+/// restricted to the probed cachers (`probed`, each with the load it
+/// reported), whose loads are *fresh* rather
 /// than a lagging broadcast view. Steps 1–2 of the policy are assumed to
 /// have run already (probes are only issued for requests that would
 /// otherwise forward), so this only re-runs step 3 over the sample.
@@ -147,13 +147,11 @@ pub fn decide_probed(
     cfg: &PolicyConfig,
     initial: NodeId,
     own_load: u32,
-    probed: &[NodeId],
-    probed_loads: &[u32],
+    probed: &[(NodeId, u32)],
 ) -> Decision {
     let candidate = probed
         .iter()
         .copied()
-        .zip(probed_loads.iter().copied())
         .filter(|&(n, _)| n != initial)
         .min_by_key(|&(n, load)| (load, n.0));
     let Some((node, load)) = candidate else {
@@ -271,15 +269,14 @@ mod tests {
     #[test]
     fn probed_picks_least_loaded_fresh_reply() {
         let cfg = PolicyConfig::default();
-        let probed = [NodeId(3), NodeId(1)];
-        let loads = [12, 7];
+        let probed = [(NodeId(3), 12), (NodeId(1), 7)];
         assert_eq!(
-            decide_probed(&cfg, NodeId(0), 5, &probed, &loads),
+            decide_probed(&cfg, NodeId(0), 5, &probed),
             Decision::Forward(NodeId(1))
         );
         // Ties break by node id, as in the full policy.
         assert_eq!(
-            decide_probed(&cfg, NodeId(0), 5, &probed, &[7, 7]),
+            decide_probed(&cfg, NodeId(0), 5, &[(NodeId(3), 7), (NodeId(1), 7)]),
             Decision::Forward(NodeId(1))
         );
     }
@@ -287,20 +284,20 @@ mod tests {
     #[test]
     fn probed_overload_escape_matches_policy_shape() {
         let cfg = PolicyConfig::default();
-        let probed = [NodeId(2)];
+        let probed = [(NodeId(2), 81)];
         // Probed peer overloaded, we are not: replicate locally.
         assert_eq!(
-            decide_probed(&cfg, NodeId(0), 10, &probed, &[81]),
+            decide_probed(&cfg, NodeId(0), 10, &probed),
             Decision::ServeLocal
         );
         // Everyone overloaded: forward anyway.
         assert_eq!(
-            decide_probed(&cfg, NodeId(0), 90, &probed, &[81]),
+            decide_probed(&cfg, NodeId(0), 90, &probed),
             Decision::Forward(NodeId(2))
         );
         // No usable replies (only ourselves): serve locally.
         assert_eq!(
-            decide_probed(&cfg, NodeId(0), 10, &[NodeId(0)], &[10]),
+            decide_probed(&cfg, NodeId(0), 10, &[(NodeId(0), 10)]),
             Decision::ServeLocal
         );
     }

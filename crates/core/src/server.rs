@@ -23,8 +23,9 @@ use press_trace::{FileCatalog, FileId, RequestLog, ScenarioOp, ScenarioPlan, Wor
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::forward::{all_nodes, is_member, with_member, CacheDirectory, PeerGuard, Reroute};
 use crate::load::Dissemination;
-use crate::overload::{CircuitBreaker, OverloadConfig};
+use crate::overload::OverloadConfig;
 use crate::policy::{decide, decide_probed, Decision, PolicyConfig, RequestView};
 use crate::version::ServerVersion;
 
@@ -110,7 +111,7 @@ struct Request {
     /// (power-of-two-choices only; 0 otherwise and once dispatched).
     pending_probes: u32,
     /// `(peer, load)` replies collected so far for this decision.
-    probed: Vec<(u16, u32)>,
+    probed: Vec<(NodeId, u32)>,
 }
 
 /// One intra-cluster message.
@@ -150,8 +151,9 @@ pub enum Event {
     NewRequest { node: u16 },
     /// The initial node finished parsing request `req`.
     Parsed { req: u64 },
-    /// The disk at `node` finished reading the file of request `req`.
-    DiskDone { req: u64, node: u16 },
+    /// The disk at `node` finished reading the file of request `req` for
+    /// delivery `attempt`.
+    DiskDone { req: u64, node: u16, attempt: u32 },
     /// An intra-cluster message finished arriving at the receiver's NIC.
     MsgDelivered(Msg),
     /// The receiver's CPU finished consuming the message.
@@ -235,8 +237,8 @@ pub struct ClusterSim {
     replay_next: usize,
     nodes: Vec<Node>,
     rng: StdRng,
-    /// Bitmask of nodes caching each file (supports up to 128 nodes).
-    cachers: Vec<u128>,
+    /// Which nodes cache each file.
+    directory: CacheDirectory,
     ever_requested: Vec<bool>,
     /// `load_views[i][j]` = node i's belief about node j's load.
     load_views: Vec<Vec<u32>>,
@@ -257,17 +259,18 @@ pub struct ClusterSim {
     fault_next: usize,
     /// Physical truth: which nodes are up right now.
     alive: Vec<bool>,
-    /// What the (delayed) failure detector has announced to survivors.
-    alive_view: Vec<bool>,
+    /// The live-node mask the (delayed) failure detector has announced
+    /// to survivors — the membership epoch every node derives its
+    /// forwarding candidates and dissemination trees from.
+    live_view: u128,
     cache_bytes: u64,
     fault_stats: FaultCounters,
     crashed_now: usize,
     degraded_since: Option<SimTime>,
     time_degraded: SimTime,
     // --- overload-protection state (inert unless params.overload.enabled) ---
-    /// Per-(initial, target) circuit breakers, row-major; empty when
-    /// overload protection is disabled.
-    breakers: Vec<CircuitBreaker>,
+    /// Each node's circuit breakers toward its peers.
+    guards: Vec<PeerGuard>,
     // --- scenario state ---
     /// Scenario operations sorted by completed-request trigger.
     scenario_schedule: Vec<(u64, ScenarioOp)>,
@@ -306,7 +309,6 @@ pub struct ClusterSim {
 impl ClusterSim {
     /// Builds the cluster with warm (pre-filled) caches.
     pub(crate) fn new(params: RunParams, source: SimWorkload, cache_bytes: u64, seed: u64) -> Self {
-        assert!(params.nodes >= 1 && params.nodes <= 128, "1..=128 nodes");
         let n = params.nodes;
         if let SimWorkload::Replay(log) = &source {
             assert!(
@@ -319,29 +321,12 @@ impl ClusterSim {
         let mut nodes: Vec<Node> = (0..n)
             .map(|i| Node::new(NodeId(i as u16), cache_bytes))
             .collect();
-        let mut cachers = vec![0u128; num_files];
         let mut ever_requested = vec![false; num_files];
-
-        // Warm the caches: place each file at a pseudo-random node (as a
-        // random first-touch would), inserting each node's share from
-        // least to most popular so the hottest files end most recently
-        // used. A multiplicative hash rather than `rank % n` keeps the
-        // placement realistically uneven: popular files can cluster on a
-        // node, which is exactly what load balancing must compensate for.
-        let mut assigned: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); n];
-        let mut used = vec![0u64; n];
-        for (file, size) in catalog.iter() {
-            let node = ((file.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
-            if used[node] + size <= cache_bytes {
-                used[node] += size;
-                assigned[node].push((file, size));
-            }
-        }
-        for (node, files) in assigned.into_iter().enumerate() {
-            for &(file, size) in files.iter().rev() {
+        let (directory, placed) = CacheDirectory::warm_start(catalog, n, cache_bytes);
+        for (node, files) in placed.into_iter().enumerate() {
+            for (file, size) in files {
                 let evicted = nodes[node].cache.insert(file, size);
                 debug_assert!(evicted.is_empty());
-                cachers[file.0 as usize] |= 1 << node;
                 ever_requested[file.0 as usize] = true;
             }
         }
@@ -356,18 +341,16 @@ impl ClusterSim {
 
         let faults = params.faults.clone();
         faults.assert_valid(n);
-        let breakers = if params.overload.enabled {
-            vec![CircuitBreaker::new(params.overload.breaker); n * n]
-        } else {
-            Vec::new()
-        };
+        let guards = (0..n as u16)
+            .map(|i| PeerGuard::new(i, n, &params.overload))
+            .collect();
         let scenario_schedule = params.scenario.schedule().to_vec();
         ClusterSim {
             nodes,
             source,
             replay_next: 0,
             rng: StdRng::seed_from_u64(seed),
-            cachers,
+            directory,
             ever_requested,
             load_views: vec![vec![0; n]; n],
             last_broadcast: vec![0; n],
@@ -380,13 +363,13 @@ impl ClusterSim {
             fault_schedule: faults.schedule(),
             fault_next: 0,
             alive: vec![true; n],
-            alive_view: vec![true; n],
+            live_view: all_nodes(n),
             cache_bytes,
             fault_stats: FaultCounters::default(),
             crashed_now: 0,
             degraded_since: None,
             time_degraded: SimTime::ZERO,
-            breakers,
+            guards,
             scenario_schedule,
             scenario_next: 0,
             drift_offset: 0,
@@ -580,18 +563,7 @@ impl ClusterSim {
         a: u64,
         b: u64,
     ) -> u32 {
-        self.trace_event(TraceEvent {
-            ts_ns: at.as_nanos(),
-            dur_ns: 0,
-            node,
-            lane,
-            kind,
-            req,
-            a,
-            b,
-            span: 0,
-            parent: 0,
-        })
+        self.trace_span_in(at, at, node, lane, kind, req, a, b, 0)
     }
 
     /// Records a complete span covering the service period `start..done`;
@@ -608,18 +580,7 @@ impl ClusterSim {
         a: u64,
         b: u64,
     ) -> u32 {
-        self.trace_event(TraceEvent {
-            ts_ns: start.as_nanos(),
-            dur_ns: done.as_nanos().saturating_sub(start.as_nanos()),
-            node,
-            lane,
-            kind,
-            req,
-            a,
-            b,
-            span: 0,
-            parent: 0,
-        })
+        self.trace_span_in(start, done, node, lane, kind, req, a, b, 0)
     }
 
     /// [`Self::trace_span`] with an explicit causal parent — the
@@ -677,18 +638,6 @@ impl ClusterSim {
                 | Dissemination::PowerOfTwoChoices(_)
                 | Dissemination::SparsePull { .. }
         )
-    }
-
-    /// The failure detector's live-member bitmask — the membership epoch
-    /// every node derives its dissemination tree from.
-    fn live_mask(&self) -> u128 {
-        let mut mask = 0u128;
-        for (i, &alive) in self.alive_view.iter().enumerate() {
-            if alive {
-                mask |= 1 << i;
-            }
-        }
-        mask
     }
 
     fn needs_credit(&self, ty: MessageType) -> bool {
@@ -756,53 +705,6 @@ impl ClusterSim {
         self.params.overload.enabled
     }
 
-    /// Whether `from` may currently forward to `to` per its breaker.
-    fn breaker_allows(&self, from: u16, to: u16, now: SimTime) -> bool {
-        if self.breakers.is_empty() {
-            return true;
-        }
-        let n = self.params.nodes;
-        self.breakers[from as usize * n + to as usize].allow(now.as_micros())
-    }
-
-    /// Marks a send on the `from → to` breaker (half-open probe
-    /// accounting); a no-op when protection is off.
-    fn breaker_on_send(&mut self, from: u16, to: u16, now: SimTime) {
-        if self.breakers.is_empty() {
-            return;
-        }
-        let n = self.params.nodes;
-        self.breakers[from as usize * n + to as usize].on_send(now.as_micros());
-    }
-
-    /// Records a deadline miss on the `from → to` breaker. A closed→open
-    /// transition trips the flight recorder: the last complete sampled
-    /// traces are frozen under a `breaker-open` reason.
-    fn breaker_failure(&mut self, from: u16, to: u16, now: SimTime) {
-        if self.breakers.is_empty() {
-            return;
-        }
-        let n = self.params.nodes;
-        let b = &mut self.breakers[from as usize * n + to as usize];
-        let was_open = b.is_open(now.as_micros());
-        b.record_failure(now.as_micros());
-        let is_open = b.is_open(now.as_micros());
-        if !was_open && is_open {
-            if let Some(f) = self.flight.as_mut() {
-                f.trip(&format!("breaker-open {from}->{to}"), now.as_nanos());
-            }
-        }
-    }
-
-    /// Records a timely answer on the `from → to` breaker.
-    fn breaker_success(&mut self, from: u16, to: u16) {
-        if self.breakers.is_empty() {
-            return;
-        }
-        let n = self.params.nodes;
-        self.breakers[from as usize * n + to as usize].record_success();
-    }
-
     /// The modeled completion time the deadline shedder assumes for this
     /// request at `node`: the current CPU backlog, plus reply
     /// transmission, plus the disk backlog and one access when the
@@ -829,13 +731,20 @@ impl ClusterSim {
         }
     }
 
-    /// A shed client's closed loop continues after a backoff: the client
-    /// saw an explicit rejection and retries later.
-    fn requeue_shed_client(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
+    /// A client's closed loop continues at `at`: its next request goes to
+    /// a uniformly random node (unless arrivals have stopped).
+    fn reissue(&mut self, at: SimTime, sched: &mut Scheduler<Event>) {
         if !self.stop_arrivals {
             let next = self.rng.gen_range(0..self.params.nodes) as u16;
-            sched.schedule(now + SHED_RETRY_DELAY, Event::NewRequest { node: next });
+            sched.schedule(at, Event::NewRequest { node: next });
         }
+    }
+
+    /// A client connection at `node` closed: its load drops.
+    fn close_connection(&mut self, now: SimTime, node: u16, sched: &mut Scheduler<Event>) {
+        let oc = &mut self.nodes[node as usize].open_connections;
+        *oc = oc.saturating_sub(1);
+        self.load_changed(now, node, sched);
     }
 
     /// Applies every scenario operation whose completed-request trigger
@@ -878,13 +787,11 @@ impl ClusterSim {
     /// The file's content changed: drop every cached copy cluster-wide
     /// and clear the caching knowledge, so the next request re-reads it.
     fn invalidate_file(&mut self, _now: SimTime, file: FileId, _sched: &mut Scheduler<Event>) {
-        let mask = self.cachers[file.0 as usize];
-        for node in 0..self.params.nodes as u16 {
-            if mask & (1 << node) != 0 && self.nodes[node as usize].cache.remove(file) {
+        for node in self.directory.invalidate(file).iter() {
+            if self.nodes[node.0 as usize].cache.remove(file) {
                 self.fault_stats.invalidations += 1;
             }
         }
-        self.cachers[file.0 as usize] = 0;
     }
 
     /// Grants `credits` to the `from → to` channel and transmits any
@@ -1113,7 +1020,7 @@ impl ClusterSim {
         origin_load: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        let mask = self.live_mask();
+        let mask = self.live_view;
         let topo = select_topology(mask.count_ones(), 0);
         let tree = TreeView::build(topo, origin, mask, self.params.nodes as u16);
         let children = tree.children(me);
@@ -1134,17 +1041,30 @@ impl ClusterSim {
         }
     }
 
+    /// Sends one `ty` message from `node` to every other node directly
+    /// (the paper's flat broadcast).
+    fn broadcast_flat(
+        &mut self,
+        now: SimTime,
+        ty: MessageType,
+        node: u16,
+        sched: &mut Scheduler<Event>,
+    ) {
+        for peer in (0..self.params.nodes as u16).filter(|&p| p != node) {
+            self.send_msg(now, ty, node, peer, 0, None, 0, sched);
+        }
+    }
+
     /// Threshold-triggered sparse pull: instead of broadcasting its load
     /// to everyone, `node` probes a few sampled live peers. The query
     /// carries the puller's load (refreshing the peer's view of us), the
     /// reply carries the peer's (refreshing ours) — a bidirectional view
     /// refresh at `2 × fanout` messages instead of `N - 1`.
     fn sparse_pull(&mut self, now: SimTime, node: u16, fanout: u32, sched: &mut Scheduler<Event>) {
-        let mask = self.live_mask();
         let targets = sample_peers(
             &mut self.collect_rng,
             node,
-            mask,
+            self.live_view,
             self.params.nodes as u16,
             fanout as usize,
         );
@@ -1184,13 +1104,7 @@ impl ClusterSim {
                 Dissemination::SparsePull { fanout, .. } => {
                     self.sparse_pull(now, node, fanout, sched);
                 }
-                _ => {
-                    for peer in 0..self.params.nodes as u16 {
-                        if peer != node {
-                            self.send_msg(now, MessageType::Load, node, peer, 0, None, 0, sched);
-                        }
-                    }
-                }
+                _ => self.broadcast_flat(now, MessageType::Load, node, sched),
             }
         }
     }
@@ -1207,21 +1121,16 @@ impl ClusterSim {
     ) {
         let bytes = self.source.catalog().size(file);
         let evicted = self.nodes[node as usize].cache.insert(file, bytes);
-        let bit = 1u128 << node;
-        self.cachers[file.0 as usize] |= bit;
-        for ev in &evicted {
-            self.cachers[ev.0 as usize] &= !bit;
+        self.directory.add(file, node);
+        for &ev in &evicted {
+            self.directory.evict(ev, node);
         }
         if self.uses_collect() {
             // Caching info still reaches everyone, but along the tree:
             // the origin pays O(fan-out) sends instead of N - 1.
             self.tree_fanout(now, MessageType::Caching, node, node, 0, sched);
         } else {
-            for peer in 0..self.params.nodes as u16 {
-                if peer != node {
-                    self.send_msg(now, MessageType::Caching, node, peer, 0, None, 0, sched);
-                }
-            }
+            self.broadcast_flat(now, MessageType::Caching, node, sched);
         }
     }
 
@@ -1297,25 +1206,49 @@ impl ClusterSim {
         let Some(req) = self.requests.get(&req_id) else {
             return;
         };
-        let (file, bytes) = (req.file, req.bytes);
+        let (file, bytes, attempt) = (req.file, req.bytes, req.attempt);
         if self.nodes[node as usize].cache.touch(file) {
             self.trace_instant(now, node, lane::MAIN, EventKind::CacheHit, req_id, bytes, 0);
             self.after_content_ready(now, req_id, node, sched);
         } else {
-            let demand = self.nodes[node as usize].disk_model.access_time(bytes);
-            let done = self.nodes[node as usize].disk.submit(now, demand, 0);
-            self.trace_span(
-                done - demand,
-                done,
-                node,
-                lane::DISK,
-                EventKind::DiskRead,
-                req_id,
-                bytes,
-                0,
-            );
-            sched.schedule(done, Event::DiskDone { req: req_id, node });
+            self.read_disk(now, req_id, node, bytes, attempt, 0, sched);
         }
+    }
+
+    /// Queues a disk read of `bytes` for delivery `attempt` of `req_id` at
+    /// `node`; `retry` (0 or 1) marks a re-read after a disk error in the
+    /// trace.
+    #[allow(clippy::too_many_arguments)]
+    fn read_disk(
+        &mut self,
+        now: SimTime,
+        req_id: u64,
+        node: u16,
+        bytes: u64,
+        attempt: u32,
+        retry: u64,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let demand = self.nodes[node as usize].disk_model.access_time(bytes);
+        let done = self.nodes[node as usize].disk.submit(now, demand, 0);
+        self.trace_span(
+            done - demand,
+            done,
+            node,
+            lane::DISK,
+            EventKind::DiskRead,
+            req_id,
+            bytes,
+            retry,
+        );
+        sched.schedule(
+            done,
+            Event::DiskDone {
+                req: req_id,
+                node,
+                attempt,
+            },
+        );
     }
 
     /// The content is in `node`'s memory: reply (if initial) or transfer.
@@ -1350,9 +1283,7 @@ impl ClusterSim {
             (now - req.started).as_nanos() / 1_000,
             req.bytes,
         );
-        let oc = &mut self.nodes[node as usize].open_connections;
-        *oc = oc.saturating_sub(1);
-        self.load_changed(now, node, sched);
+        self.close_connection(now, node, sched);
         self.total_completed += 1;
         if self.measuring && !self.stop_arrivals {
             self.measured_completed += 1;
@@ -1385,8 +1316,7 @@ impl ClusterSim {
             if self.retire_clients > 0 {
                 self.retire_clients -= 1;
             } else {
-                let next = self.rng.gen_range(0..self.params.nodes) as u16;
-                sched.schedule(now, Event::NewRequest { node: next });
+                self.reissue(now, sched);
             }
         }
     }
@@ -1428,58 +1358,49 @@ impl ClusterSim {
         }
     }
 
-    /// A forwarded request timed out: re-route it to the next-best caching
-    /// node the initial node believes is alive, or fall back to local disk
-    /// service once candidates or retries run out.
-    fn retry_request(&mut self, now: SimTime, req_id: u64, sched: &mut Scheduler<Event>) {
-        let (initial, file, attempt, prev_server) = {
+    /// A forwarded request timed out at `failed`: re-route it to the
+    /// next-best live caching node, retransmit to `failed` when it is the
+    /// only admissible peer left, or fall back to local disk service once
+    /// candidates or retries run out.
+    fn retry_request(
+        &mut self,
+        now: SimTime,
+        req_id: u64,
+        failed: u16,
+        sched: &mut Scheduler<Event>,
+    ) {
+        let (initial, file, attempt) = {
             let r = &self.requests[&req_id];
-            (r.initial.0, r.file, r.attempt, r.server)
+            (r.initial.0, r.file, r.attempt)
         };
         let next_attempt = attempt + 1;
-        let mask = self.cachers[file.0 as usize];
-        // Next-best: alive (as far as the initial node knows), caching the
-        // file, not the peer that just failed us, and not behind an open
-        // circuit breaker.
-        let candidates: Vec<u16> = (0..self.params.nodes as u16)
-            .filter(|&i| {
-                self.alive_view[i as usize]
-                    && mask & (1 << i) != 0
-                    && Some(i) != prev_server
-                    && i != initial
-                    && self.breaker_allows(initial, i, now)
-            })
-            .collect();
-        if next_attempt > self.faults.max_retries || candidates.is_empty() {
-            self.fault_stats.failovers += 1;
-            self.trace_instant(
-                now,
-                initial,
-                lane::MAIN,
-                EventKind::Failover,
-                req_id,
-                next_attempt as u64,
-                initial as u64,
-            );
-            if let Some(r) = self.requests.get_mut(&req_id) {
-                r.attempt = next_attempt;
-                r.server = Some(initial);
-                r.pending_file_msgs = 0;
+        let view = &self.load_views[initial as usize];
+        let route = self.guards[initial as usize].reroute(
+            NodeId(failed),
+            attempt,
+            self.faults.max_retries,
+            self.directory
+                .live_cachers(file, self.live_view)
+                .iter()
+                .map(|&c| (c, view[c.0 as usize])),
+            is_member(self.live_view, failed),
+            now.as_micros(),
+        );
+        let (target, kind) = match route {
+            Reroute::To(t) => {
+                self.fault_stats.retries += 1;
+                (t.0, EventKind::Retry)
             }
-            self.service_request(now, req_id, initial, sched);
-            return;
-        }
-        self.fault_stats.retries += 1;
-        let target = candidates
-            .iter()
-            .copied()
-            .min_by_key(|&c| (self.load_views[initial as usize][c as usize], c))
-            .expect("non-empty candidates");
+            Reroute::Failover => {
+                self.fault_stats.failovers += 1;
+                (initial, EventKind::Failover)
+            }
+        };
         self.trace_instant(
             now,
             initial,
             lane::MAIN,
-            EventKind::Retry,
+            kind,
             req_id,
             next_attempt as u64,
             target as u64,
@@ -1489,44 +1410,26 @@ impl ClusterSim {
             r.server = Some(target);
             r.pending_file_msgs = 0;
         }
-        self.breaker_on_send(initial, target, now);
-        self.send_msg(
-            now,
-            MessageType::Forward,
-            initial,
-            target,
-            0,
-            Some(req_id),
-            0,
-            sched,
-        );
-        self.schedule_retry(now, req_id, next_attempt, sched);
+        if target == initial {
+            self.service_request(now, req_id, initial, sched);
+        } else {
+            self.send_forward(now, req_id, initial, target, next_attempt, sched);
+        }
     }
 
-    /// Forwards `req_id` from `node` to `target` (the acting half of a
-    /// `Decision::Forward`, shared by the view-based and probed paths).
-    fn do_forward(
+    /// Forwards `req_id` from `node` to `target` as delivery `attempt`
+    /// and arms its timeout (the acting half of a `Decision::Forward` and
+    /// of a re-route).
+    fn send_forward(
         &mut self,
         now: SimTime,
         req_id: u64,
         node: u16,
         target: u16,
+        attempt: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        self.trace_instant(
-            now,
-            node,
-            lane::MAIN,
-            EventKind::Dispatch,
-            req_id,
-            1,
-            target as u64,
-        );
-        if let Some(r) = self.requests.get_mut(&req_id) {
-            r.forwarded = true;
-            r.server = Some(target);
-        }
-        self.breaker_on_send(node, target, now);
+        self.guards[node as usize].on_send(target, now.as_micros());
         self.send_msg(
             now,
             MessageType::Forward,
@@ -1537,7 +1440,7 @@ impl ClusterSim {
             0,
             sched,
         );
-        self.schedule_retry(now, req_id, 0, sched);
+        self.schedule_retry(now, req_id, attempt, sched);
     }
 
     /// One probe reply arrived for a deferred power-of-two-choices
@@ -1558,7 +1461,7 @@ impl ClusterSim {
             if r.pending_probes == 0 {
                 return;
             }
-            r.probed.push((from, load));
+            r.probed.push((NodeId(from), load));
             r.pending_probes -= 1;
             r.pending_probes == 0
         };
@@ -1571,62 +1474,68 @@ impl ClusterSim {
     /// to the least-loaded probed peer (fresh loads, not a lagging view)
     /// or serve locally.
     fn dispatch_probed(&mut self, now: SimTime, req_id: u64, sched: &mut Scheduler<Event>) {
-        let (node, probed) = {
+        let (node, file, probed) = {
             let Some(r) = self.requests.get_mut(&req_id) else {
                 return;
             };
             r.pending_probes = 0;
-            (r.initial.0, std::mem::take(&mut r.probed))
+            (r.initial.0, r.file, std::mem::take(&mut r.probed))
         };
-        let peers: Vec<NodeId> = probed.iter().map(|&(n, _)| NodeId(n)).collect();
-        let loads: Vec<u32> = probed.iter().map(|&(_, l)| l).collect();
-        let own = self.nodes[node as usize].open_connections;
-        let mut decision = if probed.is_empty() {
+        let decision = if probed.is_empty() {
             // Every probe timed out (lost or badly delayed). Serving
             // locally would replicate the file through a disk read; the
             // NLB-style fallback — lowest-numbered live cacher — keeps
             // the request on a cached copy.
-            let file = match self.requests.get(&req_id) {
-                Some(r) => r.file,
-                None => return,
-            };
-            let mask = self.cachers[file.0 as usize];
-            (0..self.params.nodes as u16)
-                .find(|&i| i != node && mask & (1 << i) != 0 && self.alive_view[i as usize])
-                .map(|t| Decision::Forward(NodeId(t)))
-                .unwrap_or(Decision::ServeLocal)
+            self.directory
+                .live_cachers(file, self.live_view)
+                .iter()
+                .find(|c| c.0 != node)
+                .map_or(Decision::ServeLocal, |&t| Decision::Forward(t))
         } else {
-            decide_probed(&self.params.policy, NodeId(node), own, &peers, &loads)
+            let own = self.nodes[node as usize].open_connections;
+            decide_probed(&self.params.policy, NodeId(node), own, &probed)
         };
-        if let Decision::Forward(t) = decision {
-            if !self.breaker_allows(node, t.0, now) {
-                // Steer to the best probed peer the breaker still admits.
-                self.fault_stats.breaker_diverts += 1;
-                decision = probed
-                    .iter()
-                    .filter(|&&(c, _)| c != node && self.breaker_allows(node, c, now))
-                    .min_by_key(|&&(c, l)| (l, c))
-                    .map(|&(c, _)| Decision::Forward(NodeId(c)))
-                    .unwrap_or(Decision::ServeLocal);
-            }
+        // Steer around open breakers to the best probed peer.
+        let admitted =
+            self.guards[node as usize].admit(decision, probed.iter().copied(), now.as_micros());
+        self.act_on(now, req_id, node, decision, admitted, sched);
+    }
+
+    /// Acts on the policy's `decision` as `node`'s breaker divert
+    /// `admitted` it: serve locally, or forward and arm the timeout.
+    fn act_on(
+        &mut self,
+        now: SimTime,
+        req_id: u64,
+        node: u16,
+        decision: Decision,
+        admitted: Decision,
+        sched: &mut Scheduler<Event>,
+    ) {
+        if admitted != decision {
+            self.fault_stats.breaker_diverts += 1;
         }
-        match decision {
-            Decision::ServeLocal => {
-                self.trace_instant(
-                    now,
-                    node,
-                    lane::MAIN,
-                    EventKind::Dispatch,
-                    req_id,
-                    0,
-                    node as u64,
-                );
-                if let Some(r) = self.requests.get_mut(&req_id) {
-                    r.server = Some(node);
-                }
-                self.service_request(now, req_id, node, sched);
-            }
-            Decision::Forward(t) => self.do_forward(now, req_id, node, t.0, sched),
+        let (forwarded, server) = match admitted {
+            Decision::ServeLocal => (false, node),
+            Decision::Forward(t) => (true, t.0),
+        };
+        self.trace_instant(
+            now,
+            node,
+            lane::MAIN,
+            EventKind::Dispatch,
+            req_id,
+            u64::from(forwarded),
+            server as u64,
+        );
+        if let Some(r) = self.requests.get_mut(&req_id) {
+            r.forwarded |= forwarded;
+            r.server = Some(server);
+        }
+        if forwarded {
+            self.send_forward(now, req_id, node, server, 0, sched);
+        } else {
+            self.service_request(now, req_id, node, sched);
         }
     }
 
@@ -1643,13 +1552,9 @@ impl ClusterSim {
         };
         let first = !self.ever_requested[file.0 as usize];
         self.ever_requested[file.0 as usize] = true;
-        let cachers_mask = self.cachers[file.0 as usize];
         // Peers the failure detector has evicted are not
         // forwarding candidates, whatever the caching info says.
-        let cachers: Vec<NodeId> = (0..self.params.nodes as u16)
-            .filter(|&i| cachers_mask & (1 << i) != 0 && self.alive_view[i as usize])
-            .map(NodeId)
-            .collect();
+        let cachers = self.directory.live_cachers(file, self.live_view);
         // Power-of-two-choices: a request that would consult the lagging
         // load view instead probes a few sampled cachers for their live
         // load and defers the decision to the replies. The guards mirror
@@ -1658,61 +1563,55 @@ impl ClusterSim {
             && !first
             && bytes < self.params.policy.large_file_cutoff
             && !self.nodes[node as usize].cache.contains(file)
+            && cachers.iter().any(|c| c.0 != node)
         {
-            let mut pmask = 0u128;
-            for c in &cachers {
-                if c.0 != node {
-                    pmask |= 1 << c.0;
-                }
+            let d = self.params.dissemination.probe_fanout() as usize;
+            let targets = sample_peers(
+                &mut self.collect_rng,
+                node,
+                cachers.mask(),
+                self.params.nodes as u16,
+                d,
+            );
+            let attempt = self.requests.get(&req_id).map_or(0, |r| r.attempt);
+            if let Some(r) = self.requests.get_mut(&req_id) {
+                r.pending_probes = targets.len() as u32;
+                r.probed.clear();
             }
-            if pmask != 0 {
-                let d = self.params.dissemination.probe_fanout() as usize;
-                let targets = sample_peers(
-                    &mut self.collect_rng,
+            for &t in &targets {
+                self.trace_instant(
+                    now,
                     node,
-                    pmask,
-                    self.params.nodes as u16,
-                    d,
+                    lane::MAIN,
+                    EventKind::LoadProbe,
+                    req_id,
+                    t as u64,
+                    0,
                 );
-                let attempt = self.requests.get(&req_id).map_or(0, |r| r.attempt);
-                if let Some(r) = self.requests.get_mut(&req_id) {
-                    r.pending_probes = targets.len() as u32;
-                    r.probed.clear();
-                }
-                for &t in &targets {
-                    self.trace_instant(
-                        now,
-                        node,
-                        lane::MAIN,
-                        EventKind::LoadProbe,
-                        req_id,
-                        t as u64,
-                        0,
-                    );
-                    self.send_msg_ext(
-                        now,
-                        MessageType::Load,
-                        node,
-                        t,
-                        0,
-                        Some(req_id),
-                        0,
-                        node,
-                        0,
-                        1,
-                        sched,
-                    );
-                }
-                sched.schedule(
-                    now + PROBE_TIMEOUT,
-                    Event::ProbeTimeout {
-                        req: req_id,
-                        attempt,
-                    },
+                self.send_msg_ext(
+                    now,
+                    MessageType::Load,
+                    node,
+                    t,
+                    0,
+                    Some(req_id),
+                    0,
+                    node,
+                    0,
+                    1,
+                    sched,
                 );
-                return;
             }
+            sched.schedule(
+                now + PROBE_TIMEOUT,
+                Event::ProbeTimeout {
+                    req: req_id,
+                    attempt,
+                },
+            );
+            return;
         }
+        let loads = &self.load_views[node as usize];
         let decision = decide(
             &self.params.policy,
             &RequestView {
@@ -1721,52 +1620,19 @@ impl ClusterSim {
                 cached_locally: self.nodes[node as usize].cache.contains(file),
                 first_request: first,
                 cachers: &cachers,
-                loads: &self.load_views[node as usize],
+                loads,
                 load_balancing: self.params.dissemination.load_balancing(),
             },
         );
-        match decision {
-            Decision::ServeLocal => {
-                self.trace_instant(
-                    now,
-                    node,
-                    lane::MAIN,
-                    EventKind::Dispatch,
-                    req_id,
-                    0,
-                    node as u64,
-                );
-                if let Some(r) = self.requests.get_mut(&req_id) {
-                    r.server = Some(node);
-                }
-                self.service_request(now, req_id, node, sched);
-            }
-            Decision::Forward(target) => {
-                // Circuit breaker: a peer that keeps missing
-                // deadlines is not a forwarding target. Steer to
-                // the best-admissible cacher, or serve locally.
-                let target = if self.breaker_allows(node, target.0, now) {
-                    Some(target.0)
-                } else {
-                    self.fault_stats.breaker_diverts += 1;
-                    cachers
-                        .iter()
-                        .map(|c| c.0)
-                        .filter(|&c| c != node && self.breaker_allows(node, c, now))
-                        .min_by_key(|&c| (self.load_views[node as usize][c as usize], c))
-                };
-                let Some(target) = target else {
-                    // Every admissible peer is broken open: local
-                    // service beats piling onto a saturated one.
-                    if let Some(r) = self.requests.get_mut(&req_id) {
-                        r.server = Some(node);
-                    }
-                    self.service_request(now, req_id, node, sched);
-                    return;
-                };
-                self.do_forward(now, req_id, node, target, sched);
-            }
-        }
+        // Circuit breaker: a peer that keeps missing deadlines is not a
+        // forwarding target; steer to the best admissible cacher, or
+        // serve locally rather than pile onto a saturated one.
+        let admitted = self.guards[node as usize].admit(
+            decision,
+            cachers.iter().map(|&c| (c, loads[c.0 as usize])),
+            now.as_micros(),
+        );
+        self.act_on(now, req_id, node, decision, admitted, sched);
     }
 
     /// Applies every crash/recovery transition whose completed-request
@@ -1794,14 +1660,10 @@ impl ClusterSim {
                 continue;
             }
             for (a, b) in [(node, peer), (peer, node)] {
-                let lost = {
-                    let ch = self.channel_mut(a, b);
-                    let lost = ch.queued.len() as u64;
-                    ch.queued.clear();
-                    ch.credits = CREDIT_WINDOW;
-                    ch.freed = 0;
-                    lost
-                };
+                let ch = self.channel_mut(a, b);
+                let lost = ch.drop_queued();
+                ch.credits = CREDIT_WINDOW;
+                ch.freed = 0;
                 self.fault_stats.dropped_messages += lost;
             }
         }
@@ -1836,10 +1698,7 @@ impl ClusterSim {
         for id in doomed {
             self.requests.remove(&id);
             self.fault_stats.requests_lost += 1;
-            if !self.stop_arrivals {
-                let next = self.rng.gen_range(0..self.params.nodes) as u16;
-                sched.schedule(now + RECONNECT_DELAY, Event::NewRequest { node: next });
-            }
+            self.reissue(now + RECONNECT_DELAY, sched);
         }
         let detect = now + SimTime::from_micros(self.faults.detection_micros);
         sched.schedule(detect, Event::Membership { node, alive: false });
@@ -1856,10 +1715,7 @@ impl ClusterSim {
         // Cold restart: empty cache, no stale caching knowledge, fresh
         // flow-control windows, zeroed load beliefs in both directions.
         self.nodes[node as usize].cache = FileCache::new(self.cache_bytes);
-        let bit = 1u128 << node;
-        for m in self.cachers.iter_mut() {
-            *m &= !bit;
-        }
+        self.directory.forget_node(node);
         self.reset_channels(node);
         let n = self.params.nodes;
         for view in self.load_views.iter_mut() {
@@ -2003,7 +1859,7 @@ impl ClusterSim {
                 req.pending_file_msgs -= 1;
                 if req.pending_file_msgs == 0 {
                     // The serving peer answered: its breaker (re-)closes.
-                    self.breaker_success(msg.to, msg.from);
+                    self.guards[msg.to as usize].on_success(msg.from);
                     self.start_reply(now, req_id, sched);
                 }
             }
@@ -2018,6 +1874,13 @@ impl Channel {
             freed: 0,
             queued: VecDeque::new(),
         }
+    }
+
+    /// Discards the messages waiting for credits, returning how many.
+    fn drop_queued(&mut self) -> u64 {
+        let lost = self.queued.len() as u64;
+        self.queued.clear();
+        lost
     }
 }
 
@@ -2042,7 +1905,7 @@ impl Model for ClusterSim {
                     && self.nodes[node as usize].open_connections >= limit
                 {
                     self.fault_stats.shed_admission += 1;
-                    self.requeue_shed_client(now, sched);
+                    self.reissue(now + SHED_RETRY_DELAY, sched);
                     return;
                 }
                 let file = self.next_file();
@@ -2124,16 +1987,18 @@ impl Model for ClusterSim {
                     if now + self.modeled_service(now, node, file, bytes) > dl {
                         self.fault_stats.shed_deadline += 1;
                         self.requests.remove(&req_id);
-                        let oc = &mut self.nodes[node as usize].open_connections;
-                        *oc = oc.saturating_sub(1);
-                        self.load_changed(now, node, sched);
-                        self.requeue_shed_client(now, sched);
+                        self.close_connection(now, node, sched);
+                        self.reissue(now + SHED_RETRY_DELAY, sched);
                         return;
                     }
                 }
                 self.dispatch_request(now, req_id, sched);
             }
-            Event::DiskDone { req: req_id, node } => {
+            Event::DiskDone {
+                req: req_id,
+                node,
+                attempt,
+            } => {
                 // The disk of a crashed node completes into the void, and
                 // a request re-routed elsewhere ignores the stale read.
                 if !self.alive[node as usize] {
@@ -2145,27 +2010,21 @@ impl Model for ClusterSim {
                 if req.server != Some(node) {
                     return;
                 }
-                let (file, bytes) = (req.file, req.bytes);
+                let (file, bytes, current) = (req.file, req.bytes, req.attempt == attempt);
                 if self.injector.disk_error() {
                     self.fault_stats.disk_retries += 1;
                     self.trace_instant(now, node, lane::DISK, EventKind::DiskError, req_id, 0, 0);
-                    let demand = self.nodes[node as usize].disk_model.access_time(bytes);
-                    let done = self.nodes[node as usize].disk.submit(now, demand, 0);
-                    self.trace_span(
-                        done - demand,
-                        done,
-                        node,
-                        lane::DISK,
-                        EventKind::DiskRead,
-                        req_id,
-                        bytes,
-                        1,
-                    );
-                    sched.schedule(done, Event::DiskDone { req: req_id, node });
+                    self.read_disk(now, req_id, node, bytes, attempt, 1, sched);
                     return;
                 }
                 self.cache_insert(now, node, file, sched);
-                self.after_content_ready(now, req_id, node, sched);
+                // A read left over from an attempt retransmitted to this
+                // same node still fills the cache, but only the current
+                // attempt's content is sent on: the retransmitted forward
+                // is served, and replied to, on its own.
+                if current {
+                    self.after_content_ready(now, req_id, node, sched);
+                }
             }
             Event::MsgDelivered(msg) => {
                 // Either endpoint died while the message was on the wire:
@@ -2227,20 +2086,13 @@ impl Model for ClusterSim {
                 self.complete_request(now, req_id, sched);
             }
             Event::Membership { node, alive } => {
-                self.alive_view[node as usize] = alive;
+                self.live_view = with_member(self.live_view, node, alive);
                 if !alive {
                     // Anything still queued toward the evicted peer will
                     // never be sendable; count it as lost.
-                    for peer in 0..self.params.nodes as u16 {
-                        if peer != node {
-                            let lost = {
-                                let ch = self.channel_mut(peer, node);
-                                let lost = ch.queued.len() as u64;
-                                ch.queued.clear();
-                                lost
-                            };
-                            self.fault_stats.dropped_messages += lost;
-                        }
+                    for peer in (0..self.params.nodes as u16).filter(|&p| p != node) {
+                        let lost = self.channel_mut(peer, node).drop_queued();
+                        self.fault_stats.dropped_messages += lost;
                     }
                 }
             }
@@ -2257,13 +2109,16 @@ impl Model for ClusterSim {
                     return;
                 }
                 // A live deadline miss: feed the peer's breaker before
-                // re-routing, so consecutive misses eventually open it.
-                if let (initial, Some(server)) = (r.initial.0, r.server) {
-                    if server != initial {
-                        self.breaker_failure(initial, server, now);
+                // re-routing, so consecutive misses eventually open it. An
+                // opening trips the flight recorder: the last complete
+                // sampled traces are frozen under a `breaker-open` reason.
+                let (initial, server) = (r.initial.0, r.server.unwrap_or(r.initial.0));
+                if self.guards[initial as usize].on_miss(server, now.as_micros()) {
+                    if let Some(f) = self.flight.as_mut() {
+                        f.trip(&format!("breaker-open {initial}->{server}"), now.as_nanos());
                     }
                 }
-                self.retry_request(now, req_id, sched);
+                self.retry_request(now, req_id, server, sched);
             }
             Event::ProbeTimeout {
                 req: req_id,

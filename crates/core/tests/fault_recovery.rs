@@ -157,3 +157,39 @@ fn crashes_affect_all_dissemination_strategies() {
         assert_eq!(faulted.membership_epochs, 1, "{diss:?}");
     }
 }
+
+#[test]
+fn retransmits_to_a_slow_sole_cacher_reply_once_per_request() {
+    use press_core::{run_simulation_traced, ScenarioPlan};
+    use press_telem::EventKind;
+    use std::collections::HashMap;
+    // Protection off and nothing ever fails, but the per-peer timeout
+    // (5-40 ms) sits below one disk read (18.8 ms + transfer), and file
+    // updates invalidate cached copies under forwards already in flight:
+    // the peer reads from disk, the forward times out, and with the peer
+    // the file's only live cacher it is retransmitted there. The read of
+    // the superseded attempt must not become a second reply.
+    let mut cfg = base_config();
+    cfg.scenario = ScenarioPlan::seeded(21).file_updates(1_000, 4, 1_000, 200);
+    cfg.faults = FaultPlan {
+        seed: 21,
+        disk_error_probability: 0.01,
+        retry_timeout_micros: 5_000,
+        max_retries: 8,
+        ..FaultPlan::none()
+    };
+    let (m, trace) = run_simulation_traced(&cfg);
+    assert!(m.retries > 0, "no forward was retransmitted");
+    assert_eq!(m.measured_requests, cfg.measure_requests);
+    assert_eq!(m.stuck_messages, 0, "flow-control credits leaked");
+    let mut replies: HashMap<u64, u32> = HashMap::new();
+    for e in trace.events() {
+        if e.kind == EventKind::ReplyCpu {
+            *replies.entry(e.req).or_default() += 1;
+        }
+    }
+    assert!(!replies.is_empty());
+    for (req, n) in replies {
+        assert_eq!(n, 1, "request {req} replied {n} times");
+    }
+}

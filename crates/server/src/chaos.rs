@@ -369,7 +369,6 @@ pub fn run_suite_live(cfg: &LiveChaosConfig) -> ChaosReport {
     ChaosReport {
         cards,
         steady_p99_ms: steady_p99,
-        metrics: Vec::new(),
         flight_dumps,
     }
 }

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Sender};
-use press_core::{FaultPlan, OverloadConfig, PolicyConfig};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use press_core::{CacheDirectory, FaultPlan, OverloadConfig, PolicyConfig};
 use press_telem::{lane, LiveTracer, Trace};
 use press_trace::{FileCatalog, FileId};
 use press_via::{
@@ -374,23 +374,8 @@ impl LiveCluster {
             }
         }
 
-        // Shared initial placement: hash files across nodes (identical to
-        // the simulator's warm start).
-        let mut prefill: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); n];
-        let mut used = vec![0u64; n];
-        let mut cachers = vec![0u128; catalog.len()];
-        for (file, size) in catalog.iter() {
-            let node = ((file.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize % n;
-            if used[node] + size <= cfg.cache_bytes {
-                used[node] += size;
-                prefill[node].push((file, size));
-                cachers[file.0 as usize] |= 1 << node;
-            }
-        }
-        // Most popular inserted last => most recently used.
-        for p in &mut prefill {
-            p.reverse();
-        }
+        // The simulator's warm start.
+        let (directory, mut prefill) = CacheDirectory::warm_start(&catalog, n, cfg.cache_bytes);
 
         // Snapshot every node's view of peer rings before rows are moved
         // into node contexts.
@@ -462,7 +447,7 @@ impl LiveCluster {
             let ctx_main = Arc::clone(&ctx);
             let send_for_main = send_tx.clone();
             let node_prefill = std::mem::take(&mut prefill[i]);
-            let node_cachers = cachers.clone();
+            let node_directory = directory.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("press{i}-main"))
@@ -473,7 +458,7 @@ impl LiveCluster {
                             main_rx,
                             send_for_main,
                             node_prefill,
-                            node_cachers,
+                            node_directory,
                         )
                     })
                     .expect("spawn main"),
@@ -602,13 +587,15 @@ impl LiveCluster {
         self.ctl.membership.epoch()
     }
 
-    /// Issues one request to `node` and waits for the reply bytes.
+    /// Issues one request to `node` and waits for the reply bytes. A
+    /// request lost with a node that crashes under it is re-sent to the
+    /// next live node, within the same `timeout`.
     ///
     /// # Errors
     ///
     /// * [`LiveError::UnknownFile`] if `file` is outside the catalog;
     /// * [`LiveError::Timeout`] if no reply arrives in `timeout`;
-    /// * [`LiveError::Disconnected`] during shutdown.
+    /// * [`LiveError::Disconnected`] if the node's event loop has stopped.
     pub fn request(
         &self,
         node: usize,
@@ -621,27 +608,36 @@ impl LiveCluster {
         // Like a front-end load balancer, clients are steered away from
         // nodes the cluster believes dead.
         let n = self.nodes();
+        let deadline = std::time::Instant::now() + timeout;
         let mut target = node % n;
-        if !self.ctl.membership.is_live(target) {
+        loop {
             target = (0..n)
                 .map(|d| (target + d) % n)
                 .find(|&i| self.ctl.membership.is_live(i))
                 .unwrap_or(target);
-        }
-        let (reply_tx, reply_rx) = bounded(1);
-        self.ctl.mains[target]
-            .send(NodeEvent::Client {
-                file,
-                reply: reply_tx,
-                // The client's patience is the deadline the shedder
-                // grades against (ignored when protection is off).
-                deadline: Some(std::time::Instant::now() + timeout),
-            })
-            .map_err(|_| LiveError::Disconnected)?;
-        match reply_rx.recv_timeout(timeout) {
-            Ok(Reply::Data(bytes)) => Ok(bytes),
-            Ok(Reply::Shed) => Err(LiveError::Rejected),
-            Err(_) => Err(LiveError::Timeout),
+            let (reply_tx, reply_rx) = bounded(1);
+            self.ctl.mains[target]
+                .send(NodeEvent::Client {
+                    file,
+                    reply: reply_tx,
+                    // The client's patience is the deadline the shedder
+                    // grades against (ignored when protection is off).
+                    deadline: Some(deadline),
+                })
+                .map_err(|_| LiveError::Disconnected)?;
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            match reply_rx.recv_timeout(left) {
+                Ok(Reply::Data(bytes)) => return Ok(bytes),
+                Ok(Reply::Shed) => return Err(LiveError::Rejected),
+                Err(RecvTimeoutError::Timeout) => return Err(LiveError::Timeout),
+                // The node crashed with the request (it drops the reply
+                // channel): the client reconnects to the next live node
+                // within what is left of its budget.
+                Err(RecvTimeoutError::Disconnected) if left.is_zero() => {
+                    return Err(LiveError::Timeout)
+                }
+                Err(RecvTimeoutError::Disconnected) => target = (target + 1) % n,
+            }
         }
     }
 

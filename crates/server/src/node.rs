@@ -9,9 +9,10 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{Receiver, Sender};
 use press_cluster::{FileCache, NodeId};
 use press_collect::{sample_peers, select_topology, DetRng, TreeView};
+use press_core::forward::{is_member, with_member};
 use press_core::{
-    decide, decorrelated_jitter_micros, CircuitBreaker, Decision, OverloadConfig, PolicyConfig,
-    RequestView,
+    decide, decorrelated_jitter_micros, CacheDirectory, Decision, NodeList, OverloadConfig,
+    PeerGuard, PolicyConfig, RequestView, Reroute,
 };
 use press_telem::{EventKind, TraceHandle};
 use press_trace::{FileCatalog, FileId};
@@ -235,21 +236,6 @@ struct Pending {
     trace_req: u64,
 }
 
-/// Seeded decorrelated-jitter backoff (mirrors the simulator's
-/// `FaultPlan::backoff_micros`): attempt 0 waits the base timeout, later
-/// attempts walk a per-token random schedule in `[base, 8 * base]`, which
-/// desynchronizes the retry storms a shared exponential schedule causes.
-fn retry_deadline(now: Instant, base: Duration, seed: u64, token: u64, attempt: u32) -> Instant {
-    let micros = decorrelated_jitter_micros(seed, token, base.as_micros() as u64, attempt);
-    now + Duration::from_micros(micros)
-}
-
-/// Whether a breaker table admits sends to `peer` (an empty table — the
-/// protection-off configuration — admits everything).
-fn breaker_allows(breakers: &[CircuitBreaker], peer: usize, now_micros: u64) -> bool {
-    breakers.is_empty() || breakers[peer].allow(now_micros)
-}
-
 /// The main thread: parses requests, decides locally-vs-forward, tracks
 /// pending forwards, and never blocks on communication (helper threads do).
 pub(crate) fn main_loop(
@@ -258,49 +244,36 @@ pub(crate) fn main_loop(
     events: Receiver<NodeEvent>,
     send_tx: Sender<SendJob>,
     prefill: Vec<(FileId, u64)>,
-    initial_cachers: Vec<u128>,
+    directory: CacheDirectory,
 ) {
     let mut cache = FileCache::new(cfg.cache_bytes);
     for &(file, size) in &prefill {
         cache.insert(file, size);
     }
-    let mut cachers = initial_cachers;
-    let mut pending: HashMap<u64, Pending> = HashMap::new();
-    let mut waiting_disk: HashMap<FileId, DiskWait> = HashMap::new();
-    let mut load: u32 = 0;
-    let mut next_token: u64 = (ctx.id as u64) << 48 | 1;
+    let n = ctx.nodes;
+    let mut m = Main {
+        me: ctx.id as u16,
+        cache,
+        directory,
+        pending: HashMap::new(),
+        waiting_disk: HashMap::new(),
+        guard: PeerGuard::new(ctx.id as u16, n, &cfg.overload),
+        load: 0,
+        loads: vec![0; n],
+        next_token: (ctx.id as u64) << 48 | 1,
+        t0: Instant::now(),
+        crashed: false,
+        ring_expected: vec![1; n],
+        ring_consumed: vec![0; n],
+        ctx,
+        cfg,
+        send_tx,
+    };
     let mut events_since_load_write = 0u32;
-    // Set while fault injection has this node down: every event except
-    // Recover/Shutdown is discarded, like a host that stopped executing.
-    let mut crashed = false;
-    // Peer loads as last observed; refreshed from the RDMA region.
-    let mut loads = vec![0u32; ctx.nodes];
-    // Per-peer circuit breakers (empty when overload protection is off,
-    // so the protection-off build never touches them). Breaker time is
-    // micros since the loop started — monotonic, per-node, and never
-    // compared across nodes.
-    let t0 = Instant::now();
-    let mut breakers: Vec<CircuitBreaker> = if cfg.overload.enabled {
-        vec![CircuitBreaker::new(cfg.overload.breaker); ctx.nodes]
-    } else {
-        Vec::new()
-    };
-
-    let read_loads = |own: u32, loads: &mut Vec<u32>| {
-        if let Ok(bytes) = ctx.nic.read_region(ctx.load_region, 0, 4 * ctx.nodes) {
-            for (i, chunk) in bytes.chunks_exact(4).enumerate() {
-                loads[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            }
-        }
-        loads[ctx.id] = own;
-    };
-
-    let mut ring_expected = vec![1u64; ctx.nodes];
-    let mut ring_consumed = vec![0u32; ctx.nodes];
     // Regular mode used to block forever on the event channel; retry
     // deadlines need a periodic wake-up, so both modes tick (RemoteWrite
     // keeps its tight ring-polling cadence).
-    let tick = if ctx.file_mode == FileTransferMode::RemoteWrite {
+    let tick = if m.ctx.file_mode == FileTransferMode::RemoteWrite {
         Duration::from_micros(100)
     } else {
         Duration::from_millis(1)
@@ -315,785 +288,625 @@ pub(crate) fn main_loop(
         if let Some(event) = event {
             match event {
                 NodeEvent::Shutdown => break,
-                NodeEvent::Crash => {
-                    if !crashed {
-                        crashed = true;
-                        // Everything in flight on this host is gone.
-                        let lost = pending.len()
-                            // press::allow(hash-iter): commutative sum —
-                            // the visit order cannot reach the total.
-                            + waiting_disk.values().map(|w| w.waiters.len()).sum::<usize>();
-                        ServerStats::add(&ctx.stats.requests_lost, lost as u64);
-                        pending.clear();
-                        waiting_disk.clear();
-                        // A restarted host comes back with a cold cache,
-                        // and no longer serves the files it used to hold.
-                        cache = FileCache::new(cfg.cache_bytes);
-                        let bit = 1u128 << ctx.id;
-                        for c in cachers.iter_mut() {
-                            *c &= !bit;
-                        }
-                        load = 0;
-                    }
-                }
-                NodeEvent::Recover => {
-                    crashed = false;
-                }
-                _ if crashed => {
+                NodeEvent::Crash => m.crash(),
+                NodeEvent::Recover => m.crashed = false,
+                _ if m.crashed => {
                     // A dead host executes nothing. Client requests routed
                     // here before the membership change are lost (their
                     // reply channel drops).
                     if matches!(event, NodeEvent::Client { .. }) {
-                        ServerStats::bump(&ctx.stats.requests_lost);
+                        ServerStats::bump(&m.ctx.stats.requests_lost);
                     }
                 }
                 NodeEvent::Client {
                     file,
                     reply,
                     deadline,
-                } => {
-                    let ov = &cfg.overload;
-                    let admission_full =
-                        ov.enabled && ov.admission_limit > 0 && load >= ov.admission_limit;
-                    // A request whose remaining budget cannot cover even
-                    // the modeled service time is rejected now, while it
-                    // is cheap, rather than after consuming resources.
-                    let hopeless = !admission_full
-                        && ov.enabled
-                        && deadline.is_some_and(|dl| {
-                            let est = if cache.contains(file) {
-                                Duration::ZERO
-                            } else {
-                                Duration::from_micros(ov.service_estimate_micros)
-                            };
-                            Instant::now() + est > dl
-                        });
-                    if admission_full || hopeless {
-                        ServerStats::bump(if admission_full {
-                            &ctx.stats.shed_admission
-                        } else {
-                            &ctx.stats.shed_deadline
-                        });
-                        let _ = reply.send(Reply::Shed);
-                    } else {
-                        load += 1;
-                        let bytes = cfg.catalog.size(file);
-                        // Every admitted request gets a token: forwards use
-                        // it on the wire, and it keys the request's trace
-                        // spans on every node it touches.
-                        let treq = next_token;
-                        next_token += 1;
-                        let arrive_span =
-                            ctx.trace_event(EventKind::Arrive, treq, file.0 as u64, bytes);
-                        read_loads(load, &mut loads);
-                        // Crashed peers drop out of the candidate set the
-                        // moment the membership view changes, whatever the
-                        // dissemination strategy populated `cachers` with.
-                        let cacher_list: Vec<NodeId> = (0..ctx.nodes as u16)
-                            .filter(|&i| {
-                                cachers[file.0 as usize] & (1 << i) != 0
-                                    && ctx.membership.is_live(i as usize)
-                            })
-                            .map(NodeId)
-                            .collect();
-                        let mut decision = decide(
-                            &cfg.policy,
-                            &RequestView {
-                                initial: NodeId(ctx.id as u16),
-                                file_bytes: bytes,
-                                cached_locally: cache.contains(file),
-                                first_request: cachers[file.0 as usize] == 0,
-                                cachers: &cacher_list,
-                                loads: &loads,
-                                load_balancing: true,
-                            },
-                        );
-                        if let Decision::Forward(target) = decision {
-                            let t = target.0 as usize;
-                            let now_us = t0.elapsed().as_micros() as u64;
-                            if !breaker_allows(&breakers, t, now_us) {
-                                // The breaker says this peer stopped
-                                // answering: steer to the best admissible
-                                // alternative cacher, or absorb the work
-                                // locally rather than feed a black hole.
-                                ServerStats::bump(&ctx.stats.breaker_diverts);
-                                decision = cacher_list
-                                    .iter()
-                                    .filter(|c| {
-                                        let i = c.0 as usize;
-                                        i != t
-                                            && i != ctx.id
-                                            && breaker_allows(&breakers, i, now_us)
-                                    })
-                                    .min_by_key(|c| (loads[c.0 as usize], c.0))
-                                    .map_or(Decision::ServeLocal, |&c| Decision::Forward(c));
-                            }
-                        }
-                        match decision {
-                            Decision::ServeLocal => {
-                                let disp = ctx.trace_event_in(
-                                    EventKind::Dispatch,
-                                    treq,
-                                    0,
-                                    ctx.id as u64,
-                                    arrive_span,
-                                );
-                                if cache.touch(file) {
-                                    let hit = ctx.trace_event_in(
-                                        EventKind::CacheHit,
-                                        treq,
-                                        file.0 as u64,
-                                        bytes,
-                                        disp,
-                                    );
-                                    send_reply(&ctx.stats, &reply, file, bytes);
-                                    ctx.trace_event_in(
-                                        EventKind::Done,
-                                        treq,
-                                        file.0 as u64,
-                                        bytes,
-                                        hit,
-                                    );
-                                    load = load.saturating_sub(1);
-                                } else {
-                                    enqueue_disk(
-                                        &cfg,
-                                        &ctx,
-                                        &mut waiting_disk,
-                                        file,
-                                        bytes,
-                                        treq,
-                                        disp,
-                                        DiskWaiter::ReplyLocal {
-                                            reply,
-                                            treq,
-                                            parent: disp,
-                                        },
-                                    );
-                                }
-                            }
-                            Decision::Forward(target) => {
-                                let disp = ctx.trace_event_in(
-                                    EventKind::Dispatch,
-                                    treq,
-                                    1,
-                                    target.0 as u64,
-                                    arrive_span,
-                                );
-                                // The token minted at arrival doubles as
-                                // the first attempt's wire token.
-                                let token = treq;
-                                let send_span = ctx.trace_event_in(
-                                    EventKind::ViaSend,
-                                    treq,
-                                    bytes,
-                                    target.0 as u64,
-                                    disp,
-                                );
-                                pending.insert(
-                                    token,
-                                    Pending {
-                                        reply,
-                                        file,
-                                        target: target.0 as usize,
-                                        attempt: 0,
-                                        deadline: retry_deadline(
-                                            Instant::now(),
-                                            cfg.retry_timeout,
-                                            cfg.jitter_seed,
-                                            token,
-                                            0,
-                                        ),
-                                        trace_req: treq,
-                                    },
-                                );
-                                if !breakers.is_empty() {
-                                    breakers[target.0 as usize]
-                                        .on_send(t0.elapsed().as_micros() as u64);
-                                }
-                                ServerStats::bump(&ctx.stats.forward_msgs);
-                                ServerStats::bump(&ctx.stats.forwarded);
-                                let _ = send_tx.send(SendJob::Msg {
-                                    to: target.0 as usize,
-                                    msg: WireMsg {
-                                        kind: WireKind::Forward,
-                                        file,
-                                        token,
-                                        sender_load: load,
-                                        parent_span: send_span,
-                                        payload: Vec::new(),
-                                    },
-                                    needs_credit: true,
-                                });
-                            }
-                        }
-                    }
-                }
+                } => m.client(file, reply, deadline),
                 NodeEvent::Invalidate { file } => {
                     // The old bytes are stale everywhere: drop our cached
                     // copy and forget who else held one (their copies are
                     // being dropped by the same broadcast).
-                    if cache.remove(file) {
-                        ServerStats::bump(&ctx.stats.invalidations);
+                    if m.cache.remove(file) {
+                        ServerStats::bump(&m.ctx.stats.invalidations);
                     }
-                    cachers[file.0 as usize] = 0;
+                    m.directory.invalidate(file);
                 }
-                NodeEvent::Remote { from, msg } => {
-                    // Piggy-backed load keeps our view of the sender fresh
-                    // even between RDMA load writes.
-                    loads[from] = msg.sender_load;
-                    match msg.kind {
-                        WireKind::Forward => {
-                            let file = msg.file;
-                            let bytes = cfg.catalog.size(file);
-                            // Stitch to the origin's ViaSend span via the
-                            // message's wire-carried causal context.
-                            let recv = ctx.trace_event_in(
-                                EventKind::ViaRecv,
-                                msg.token,
-                                file.0 as u64,
-                                from as u64,
-                                msg.parent_span,
-                            );
-                            if cache.touch(file) {
-                                let hit = ctx.trace_event_in(
-                                    EventKind::CacheHit,
-                                    msg.token,
-                                    file.0 as u64,
-                                    bytes,
-                                    recv,
-                                );
-                                send_file_back(
-                                    &ctx, &send_tx, from, msg.token, file, bytes, load, hit,
-                                );
-                            } else {
-                                enqueue_disk(
-                                    &cfg,
-                                    &ctx,
-                                    &mut waiting_disk,
-                                    file,
-                                    bytes,
-                                    msg.token,
-                                    recv,
-                                    DiskWaiter::SendBack {
-                                        to: from,
-                                        token: msg.token,
-                                        parent: recv,
-                                    },
-                                );
-                            }
-                        }
-                        WireKind::FileData => {
-                            // Replies to retried tokens already removed
-                            // from `pending` (first answer won) fall
-                            // through harmlessly.
-                            if let Some(p) = pending.remove(&msg.token) {
-                                if !breakers.is_empty() {
-                                    breakers[p.target].record_success();
-                                }
-                                let bytes = p.file.0 as u64;
-                                let recv = ctx.trace_event_in(
-                                    EventKind::ViaRecv,
-                                    p.trace_req,
-                                    bytes,
-                                    from as u64,
-                                    msg.parent_span,
-                                );
-                                let _ = p.reply.send(Reply::Data(msg.payload));
-                                // The forwarded request is no longer open
-                                // on this node; without this the load
-                                // counter (and the admission bound fed by
-                                // it) ratchets upward forever.
-                                load = load.saturating_sub(1);
-                                ctx.trace_event_in(EventKind::Done, p.trace_req, bytes, 0, recv);
-                            }
-                        }
-                        WireKind::Caching => {
-                            // Low byte: 0 = now caches, 1 = evicted. High
-                            // bits: origin+1 when tree-routed (0 = legacy
-                            // flat send, where the sender IS the origin).
-                            let action = msg.token & 0xFF;
-                            let origin_enc = msg.token >> 8;
-                            let origin = if origin_enc == 0 {
-                                from
-                            } else {
-                                (origin_enc - 1) as usize
-                            };
-                            let bit = 1u128 << origin;
-                            if action == 0 {
-                                cachers[msg.file.0 as usize] |= bit;
-                            } else {
-                                cachers[msg.file.0 as usize] &= !bit;
-                            }
-                            if origin_enc != 0 {
-                                tree_caching_fanout(
-                                    &ctx,
-                                    &send_tx,
-                                    msg.file,
-                                    msg.token,
-                                    msg.sender_load,
-                                    origin,
-                                );
-                            }
-                        }
-                        // Flow is consumed by the receive thread.
-                        WireKind::Flow => {}
-                    }
-                }
-                NodeEvent::DiskDone { file } => {
-                    let bytes = cfg.catalog.size(file);
-                    let wait = waiting_disk.remove(&file);
-                    // Charge the whole disk residency (enqueue to
-                    // completion) as one span on the request that caused
-                    // the read; piggy-backed waiters chain off it too.
-                    if let (Some(t), Some(w)) = (&ctx.trace, &wait) {
-                        t.span_in(
-                            w.start_ns,
-                            EventKind::DiskRead,
-                            w.req,
-                            file.0 as u64,
-                            bytes,
-                            w.parent,
-                        );
-                    }
-                    // Cache the file and broadcast the caching information
-                    // (insertion plus any evictions), as in Section 2.2.
-                    let evicted = cache.insert(file, bytes);
-                    let bit = 1u128 << ctx.id;
-                    cachers[file.0 as usize] |= bit;
-                    broadcast_caching(&ctx, &send_tx, file, 0, load, cfg.tree_caching);
-                    for ev in evicted {
-                        cachers[ev.0 as usize] &= !bit;
-                        broadcast_caching(&ctx, &send_tx, ev, 1, load, cfg.tree_caching);
-                    }
-                    for waiter in wait.map(|w| w.waiters).unwrap_or_default() {
-                        match waiter {
-                            DiskWaiter::ReplyLocal {
-                                reply,
-                                treq,
-                                parent,
-                            } => {
-                                send_reply(&ctx.stats, &reply, file, bytes);
-                                load = load.saturating_sub(1);
-                                ctx.trace_event_in(
-                                    EventKind::Done,
-                                    treq,
-                                    file.0 as u64,
-                                    bytes,
-                                    parent,
-                                );
-                            }
-                            DiskWaiter::SendBack { to, token, parent } => {
-                                send_file_back(
-                                    &ctx, &send_tx, to, token, file, bytes, load, parent,
-                                );
-                            }
-                        }
-                    }
-                }
+                NodeEvent::Remote { from, msg } => m.remote(from, msg),
+                NodeEvent::DiskDone { file } => m.disk_done(file),
             }
         }
         // Poll the RMW file rings at the end of the main server loop, as
         // in the paper: consume every entry whose sequence number landed.
-        // A crashed node still advances sequence numbers (entries vanish
-        // into the dead host) so the rings stay aligned for recovery, but
-        // it returns no credits and completes nothing.
-        if ctx.file_mode == FileTransferMode::RemoteWrite {
-            poll_file_rings(
-                &ctx,
-                &send_tx,
-                &mut ring_expected,
-                &mut ring_consumed,
-                &mut pending,
-                &mut breakers,
-                &mut load,
-                crashed,
+        if m.ctx.file_mode == FileTransferMode::RemoteWrite {
+            m.poll_file_rings();
+        }
+        if !m.pending.is_empty() && !m.crashed {
+            m.retry_expired();
+        }
+        // Periodic load dissemination through remote memory writes: no
+        // receiver involvement, overwritable — the paper's ideal use.
+        if got_event && !m.crashed {
+            events_since_load_write += 1;
+            if events_since_load_write >= m.cfg.load_write_period {
+                events_since_load_write = 0;
+                let _ = m.send_tx.send(SendJob::RdmaLoad { load: m.load });
+            }
+        }
+    }
+}
+
+/// The main thread's state: the node's cache and caching directory, the
+/// requests it has in flight, and the peer breakers and loads its
+/// distribution decisions read.
+struct Main {
+    ctx: Arc<NodeCtx>,
+    cfg: MainConfig,
+    send_tx: Sender<SendJob>,
+    me: u16,
+    cache: FileCache,
+    directory: CacheDirectory,
+    /// Forwarded requests awaiting file data, by wire token.
+    pending: HashMap<u64, Pending>,
+    waiting_disk: HashMap<FileId, DiskWait>,
+    /// Per-peer circuit breakers (inert when overload protection is off).
+    guard: PeerGuard,
+    /// Requests open at this node.
+    load: u32,
+    /// Peer loads as last observed; refreshed from the RDMA region.
+    loads: Vec<u32>,
+    next_token: u64,
+    /// Breaker time origin: breaker time is micros since the loop started
+    /// — monotonic, per-node, and never compared across nodes.
+    t0: Instant,
+    /// Set while fault injection has this node down: every event except
+    /// Recover/Shutdown is discarded, like a host that stopped executing.
+    crashed: bool,
+    ring_expected: Vec<u64>,
+    ring_consumed: Vec<u32>,
+}
+
+impl Main {
+    fn now_us(&self) -> u64 {
+        self.t0.elapsed().as_micros() as u64
+    }
+
+    /// Refreshes the peer loads from the RDMA-written load table.
+    fn read_loads(&mut self) {
+        let ctx = &self.ctx;
+        if let Ok(bytes) = ctx.nic.read_region(ctx.load_region, 0, 4 * ctx.nodes) {
+            for (i, chunk) in bytes.chunks_exact(4).enumerate() {
+                self.loads[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+            }
+        }
+        self.loads[ctx.id] = self.load;
+    }
+
+    fn crash(&mut self) {
+        if self.crashed {
+            return;
+        }
+        self.crashed = true;
+        // Everything in flight on this host is gone.
+        let lost = self.pending.len()
+            // press::allow(hash-iter): commutative sum —
+            // the visit order cannot reach the total.
+            + self.waiting_disk.values().map(|w| w.waiters.len()).sum::<usize>();
+        ServerStats::add(&self.ctx.stats.requests_lost, lost as u64);
+        self.pending.clear();
+        self.waiting_disk.clear();
+        // A restarted host comes back with a cold cache, and no longer
+        // serves the files it used to hold.
+        self.cache = FileCache::new(self.cfg.cache_bytes);
+        self.directory.forget_node(self.me);
+        self.load = 0;
+    }
+
+    /// A client request arrived: shed it, serve it here, or forward it.
+    fn client(&mut self, file: FileId, reply: Sender<Reply>, deadline: Option<Instant>) {
+        let ov = &self.cfg.overload;
+        let admission_full =
+            ov.enabled && ov.admission_limit > 0 && self.load >= ov.admission_limit;
+        // A request whose remaining budget cannot cover even the modeled
+        // service time is rejected now, while it is cheap, rather than
+        // after consuming resources.
+        let hopeless = !admission_full
+            && ov.enabled
+            && deadline.is_some_and(|dl| {
+                let est = if self.cache.contains(file) {
+                    Duration::ZERO
+                } else {
+                    Duration::from_micros(ov.service_estimate_micros)
+                };
+                Instant::now() + est > dl
+            });
+        if admission_full || hopeless {
+            ServerStats::bump(if admission_full {
+                &self.ctx.stats.shed_admission
+            } else {
+                &self.ctx.stats.shed_deadline
+            });
+            let _ = reply.send(Reply::Shed);
+            return;
+        }
+        self.load += 1;
+        let bytes = self.cfg.catalog.size(file);
+        // Every admitted request gets a token: forwards use it on the
+        // wire, and it keys the request's trace spans on every node it
+        // touches.
+        let treq = self.next_token;
+        self.next_token += 1;
+        let arrive_span = self
+            .ctx
+            .trace_event(EventKind::Arrive, treq, file.0 as u64, bytes);
+        self.read_loads();
+        // Crashed peers drop out of the candidate set the moment the
+        // membership view changes, whatever the dissemination strategy
+        // populated the directory with.
+        let (_, live) = self.ctx.membership.snapshot();
+        let cachers = self.directory.live_cachers(file, live as u128);
+        let decision = decide(
+            &self.cfg.policy,
+            &RequestView {
+                initial: NodeId(self.me),
+                file_bytes: bytes,
+                cached_locally: self.cache.contains(file),
+                first_request: !self.directory.cached_anywhere(file),
+                cachers: &cachers,
+                loads: &self.loads,
+                load_balancing: true,
+            },
+        );
+        // The breaker says a peer stopped answering: steer to the best
+        // admissible alternative cacher, or absorb the work locally rather
+        // than feed a black hole.
+        let alternatives = cachers.iter().map(|&c| (c, self.loads[c.0 as usize]));
+        let admitted = self.guard.admit(decision, alternatives, self.now_us());
+        if admitted != decision {
+            ServerStats::bump(&self.ctx.stats.breaker_diverts);
+        }
+        let (forwarded, server) = match admitted {
+            Decision::ServeLocal => (0, self.me),
+            Decision::Forward(t) => (1, t.0),
+        };
+        let disp = self.ctx.trace_event_in(
+            EventKind::Dispatch,
+            treq,
+            forwarded,
+            server as u64,
+            arrive_span,
+        );
+        if server == self.me {
+            self.serve_local(file, reply, treq, disp);
+        } else {
+            ServerStats::bump(&self.ctx.stats.forwarded);
+            // The token minted at arrival doubles as the first attempt's
+            // wire token.
+            let p = Pending {
+                reply,
+                file,
+                target: server as usize,
+                attempt: 0,
+                deadline: Instant::now(),
+                trace_req: treq,
+            };
+            self.send_forward(treq, p, disp);
+        }
+    }
+
+    /// The receive thread decoded an intra-cluster message from `from`.
+    fn remote(&mut self, from: usize, msg: WireMsg) {
+        // Piggy-backed load keeps our view of the sender fresh even
+        // between RDMA load writes.
+        self.loads[from] = msg.sender_load;
+        match msg.kind {
+            WireKind::Forward => {
+                let file = msg.file;
+                // Stitch to the origin's ViaSend span via the message's
+                // wire-carried causal context.
+                let recv = self.ctx.trace_event_in(
+                    EventKind::ViaRecv,
+                    msg.token,
+                    file.0 as u64,
+                    from as u64,
+                    msg.parent_span,
+                );
+                if self.cache.touch(file) {
+                    let bytes = self.cfg.catalog.size(file);
+                    let hit = self.ctx.trace_event_in(
+                        EventKind::CacheHit,
+                        msg.token,
+                        file.0 as u64,
+                        bytes,
+                        recv,
+                    );
+                    self.send_file_back(from, msg.token, file, hit);
+                } else {
+                    let waiter = DiskWaiter::SendBack {
+                        to: from,
+                        token: msg.token,
+                        parent: recv,
+                    };
+                    self.enqueue_disk(file, msg.token, recv, waiter);
+                }
+            }
+            WireKind::FileData => {
+                self.complete_forward(msg.token, from, msg.parent_span, msg.payload);
+            }
+            WireKind::Caching => {
+                // Low byte: 0 = now caches, 1 = evicted. High bits:
+                // origin+1 when tree-routed (0 = legacy flat send, where
+                // the sender IS the origin).
+                let action = msg.token & 0xFF;
+                let origin_enc = msg.token >> 8;
+                let origin = if origin_enc == 0 {
+                    from
+                } else {
+                    (origin_enc - 1) as usize
+                };
+                if action == 0 {
+                    self.directory.add(msg.file, origin as u16);
+                } else {
+                    self.directory.evict(msg.file, origin as u16);
+                }
+                if origin_enc != 0 {
+                    self.tree_caching_fanout(msg.file, msg.token, msg.sender_load, origin);
+                }
+            }
+            // Flow is consumed by the receive thread.
+            WireKind::Flow => {}
+        }
+    }
+
+    /// The disk thread finished reading `file`.
+    fn disk_done(&mut self, file: FileId) {
+        let bytes = self.cfg.catalog.size(file);
+        let wait = self.waiting_disk.remove(&file);
+        // Charge the whole disk residency (enqueue to completion) as one
+        // span on the request that caused the read; piggy-backed waiters
+        // chain off it too.
+        if let (Some(t), Some(w)) = (&self.ctx.trace, &wait) {
+            t.span_in(
+                w.start_ns,
+                EventKind::DiskRead,
+                w.req,
+                file.0 as u64,
+                bytes,
+                w.parent,
             );
         }
-        // Forwarded requests whose service node stopped answering: retry
-        // against the next-best live cacher with exponential backoff, then
-        // fall back to local service.
-        if !pending.is_empty() && !crashed {
-            let now = Instant::now();
-            let mut expired: Vec<u64> = pending
-                // press::allow(hash-iter): sorted below — tokens are
-                // issued monotonically, so retries run in arrival order
-                // regardless of hash order.
-                .iter()
-                .filter(|(_, p)| p.deadline <= now)
-                .map(|(&t, _)| t)
-                .collect();
-            expired.sort_unstable();
-            let now_us = t0.elapsed().as_micros() as u64;
-            for token in expired {
-                let Some(p) = pending.remove(&token) else {
-                    continue;
-                };
-                // A missed deadline is the breaker's failure signal:
-                // enough of them in a row opens the peer's breaker and
-                // new forwards steer around it until a probe succeeds.
-                if !breakers.is_empty() && p.target != ctx.id {
-                    breakers[p.target].record_failure(now_us);
+        // Cache the file and broadcast the caching information (insertion
+        // plus any evictions), as in Section 2.2.
+        let evicted = self.cache.insert(file, bytes);
+        self.directory.add(file, self.me);
+        self.broadcast_caching(file, 0);
+        for ev in evicted {
+            self.directory.evict(ev, self.me);
+            self.broadcast_caching(ev, 1);
+        }
+        for waiter in wait.map(|w| w.waiters).unwrap_or_default() {
+            match waiter {
+                DiskWaiter::ReplyLocal {
+                    reply,
+                    treq,
+                    parent,
+                } => self.reply_local(&reply, file, treq, parent),
+                DiskWaiter::SendBack { to, token, parent } => {
+                    self.send_file_back(to, token, file, parent)
                 }
-                let mut candidates: Vec<usize> = (0..ctx.nodes)
-                    .filter(|&i| {
-                        i != ctx.id
-                            && i != p.target
-                            && cachers[p.file.0 as usize] & (1 << i) != 0
-                            && ctx.membership.is_live(i)
-                            && breaker_allows(&breakers, i, now_us)
-                    })
-                    .collect();
-                // No alternative cacher, but the target still looks
-                // alive: the *message* may have been lost rather than the
-                // node — retransmit to the same peer (backoff rising)
-                // until retries run out or the membership evicts it.
-                if candidates.is_empty()
-                    && p.target != ctx.id
-                    && ctx.membership.is_live(p.target)
-                    && breaker_allows(&breakers, p.target, now_us)
-                {
-                    candidates.push(p.target);
-                }
-                let bytes = cfg.catalog.size(p.file);
-                if p.attempt >= cfg.max_retries || candidates.is_empty() {
+            }
+        }
+    }
+
+    /// Replies to a client of this node with `file`'s bytes.
+    fn reply_local(&mut self, reply: &Sender<Reply>, file: FileId, treq: u64, parent: u32) {
+        let bytes = self.cfg.catalog.size(file);
+        ServerStats::bump(&self.ctx.stats.served_local);
+        let _ = reply.send(Reply::Data(file_contents(file, bytes as usize)));
+        self.load = self.load.saturating_sub(1);
+        self.ctx
+            .trace_event_in(EventKind::Done, treq, file.0 as u64, bytes, parent);
+    }
+
+    /// Serves `file` at this node for `reply`: from the cache at once, or
+    /// by queueing on a disk read. `parent` is the span the service chains
+    /// from (the dispatch or failover decision).
+    fn serve_local(&mut self, file: FileId, reply: Sender<Reply>, treq: u64, parent: u32) {
+        if self.cache.touch(file) {
+            let bytes = self.cfg.catalog.size(file);
+            let hit =
+                self.ctx
+                    .trace_event_in(EventKind::CacheHit, treq, file.0 as u64, bytes, parent);
+            self.reply_local(&reply, file, treq, hit);
+        } else {
+            let waiter = DiskWaiter::ReplyLocal {
+                reply,
+                treq,
+                parent,
+            };
+            self.enqueue_disk(file, treq, parent, waiter);
+        }
+    }
+
+    /// Queues a waiter on an in-flight (or newly issued) disk read. The
+    /// first waiter for a file actually issues the read and owns the trace
+    /// context the eventual `DiskRead` span is charged to; later waiters
+    /// piggy-back on that read (and chain their own completion events off
+    /// the same span).
+    fn enqueue_disk(&mut self, file: FileId, treq: u64, parent: u32, waiter: DiskWaiter) {
+        use std::collections::hash_map::Entry;
+        match self.waiting_disk.entry(file) {
+            Entry::Occupied(mut e) => e.get_mut().waiters.push(waiter),
+            Entry::Vacant(e) => {
+                e.insert(DiskWait {
+                    start_ns: self.ctx.trace.as_ref().map(|t| t.now_ns()).unwrap_or(0),
+                    req: treq,
+                    parent,
+                    waiters: vec![waiter],
+                });
+                ServerStats::bump(&self.ctx.stats.disk_reads);
+                let _ = self.cfg.disk_tx.send((file, self.cfg.catalog.size(file)));
+            }
+        }
+    }
+
+    /// Sends pending request `p` to `p.target` under wire `token`. Its
+    /// deadline comes in as the send time and leaves extended by the
+    /// attempt's seeded decorrelated-jitter backoff (the simulator's
+    /// `FaultPlan::backoff_micros`): attempt 0 waits the base timeout,
+    /// later attempts walk a per-token schedule in `[base, 8 * base]`,
+    /// which desynchronizes the retry storms a shared exponential
+    /// schedule causes.
+    fn send_forward(&mut self, token: u64, mut p: Pending, parent: u32) {
+        let (file, target) = (p.file, p.target);
+        let base = self.cfg.retry_timeout.as_micros() as u64;
+        let backoff = decorrelated_jitter_micros(self.cfg.jitter_seed, token, base, p.attempt);
+        p.deadline += Duration::from_micros(backoff);
+        let bytes = self.cfg.catalog.size(file);
+        let send_span = self.ctx.trace_event_in(
+            EventKind::ViaSend,
+            p.trace_req,
+            bytes,
+            target as u64,
+            parent,
+        );
+        self.pending.insert(token, p);
+        self.guard.on_send(target as u16, self.now_us());
+        ServerStats::bump(&self.ctx.stats.forward_msgs);
+        let msg = WireMsg::header(WireKind::Forward, file, token, self.load, send_span);
+        self.send(target, msg);
+    }
+
+    /// A forward's file data arrived from `from` (by message or through a
+    /// polled ring): the pending request completes, the peer's breaker
+    /// closes, and the request leaves the load count. Data for a token no
+    /// longer pending (a retried request whose first answer already won)
+    /// falls through harmlessly.
+    fn complete_forward(&mut self, token: u64, from: usize, parent: u32, payload: Vec<u8>) {
+        let Some(p) = self.pending.remove(&token) else {
+            return;
+        };
+        self.guard.on_success(p.target as u16);
+        let bytes = payload.len() as u64;
+        let recv =
+            self.ctx
+                .trace_event_in(EventKind::ViaRecv, p.trace_req, bytes, from as u64, parent);
+        let _ = p.reply.send(Reply::Data(payload));
+        // The forwarded request is no longer open on this node; without
+        // this the load counter (and the admission bound fed by it)
+        // ratchets upward forever.
+        self.load = self.load.saturating_sub(1);
+        self.ctx
+            .trace_event_in(EventKind::Done, p.trace_req, bytes, 0, recv);
+    }
+
+    /// Forwarded requests whose service node stopped answering: retry
+    /// against the next-best live cacher, retransmit to a target that
+    /// still looks alive, or fall back to local service.
+    fn retry_expired(&mut self) {
+        let now = Instant::now();
+        let mut expired: Vec<u64> = self
+            .pending
+            // press::allow(hash-iter): sorted below — tokens are
+            // issued monotonically, so retries run in arrival order
+            // regardless of hash order.
+            .iter()
+            .filter(|(_, p)| p.deadline <= now)
+            .map(|(&t, _)| t)
+            .collect();
+        if expired.is_empty() {
+            return;
+        }
+        expired.sort_unstable();
+        let now_us = self.now_us();
+        let (_, live) = self.ctx.membership.snapshot();
+        self.read_loads();
+        for token in expired {
+            let Some(p) = self.pending.remove(&token) else {
+                continue;
+            };
+            // A missed deadline is the breaker's failure signal: enough of
+            // them in a row opens the peer's breaker and new forwards
+            // steer around it until a probe succeeds.
+            let failed = NodeId(p.target as u16);
+            self.guard.on_miss(failed.0, now_us);
+            let cachers = self.directory.live_cachers(p.file, live as u128);
+            let route = self.guard.reroute(
+                failed,
+                p.attempt,
+                self.cfg.max_retries,
+                cachers.iter().map(|&c| (c, self.loads[c.0 as usize])),
+                is_member(live as u128, failed.0),
+                now_us,
+            );
+            match route {
+                Reroute::Failover => {
                     // Out of options elsewhere: serve from our own cache
                     // or disk so the client still gets an answer.
-                    ServerStats::bump(&ctx.stats.failovers);
-                    let fo = ctx.trace_event(
+                    ServerStats::bump(&self.ctx.stats.failovers);
+                    let fo = self.ctx.trace_event(
                         EventKind::Failover,
                         p.trace_req,
                         p.file.0 as u64,
                         p.attempt as u64,
                     );
-                    if cache.touch(p.file) {
-                        send_reply(&ctx.stats, &p.reply, p.file, bytes);
-                        load = load.saturating_sub(1);
-                        ctx.trace_event_in(
-                            EventKind::Done,
-                            p.trace_req,
-                            p.file.0 as u64,
-                            bytes,
-                            fo,
-                        );
-                    } else {
-                        enqueue_disk(
-                            &cfg,
-                            &ctx,
-                            &mut waiting_disk,
-                            p.file,
-                            bytes,
-                            p.trace_req,
-                            fo,
-                            DiskWaiter::ReplyLocal {
-                                reply: p.reply,
-                                treq: p.trace_req,
-                                parent: fo,
-                            },
-                        );
-                    }
-                } else {
-                    ServerStats::bump(&ctx.stats.retries);
-                    read_loads(load, &mut loads);
-                    // `candidates` was checked nonempty above, but a
-                    // panic here would take the whole node down — fall
-                    // back to the original target instead.
-                    let target = candidates
-                        .into_iter()
-                        .min_by_key(|&i| (loads[i], i))
-                        .unwrap_or(p.target);
+                    self.serve_local(p.file, p.reply, p.trace_req, fo);
+                }
+                Reroute::To(target) => {
+                    ServerStats::bump(&self.ctx.stats.retries);
                     let attempt = p.attempt + 1;
-                    let token = next_token;
-                    next_token += 1;
                     // The wire token changes on retry, but the trace
                     // request id stays stable so all attempts stitch into
                     // one causal chain.
-                    let retry_span = ctx.trace_event(
+                    let token = self.next_token;
+                    self.next_token += 1;
+                    let retry_span = self.ctx.trace_event(
                         EventKind::Retry,
                         p.trace_req,
                         attempt as u64,
-                        target as u64,
+                        target.0 as u64,
                     );
-                    let send_span = ctx.trace_event_in(
-                        EventKind::ViaSend,
-                        p.trace_req,
-                        0,
-                        target as u64,
-                        retry_span,
-                    );
-                    pending.insert(
-                        token,
-                        Pending {
-                            reply: p.reply,
-                            file: p.file,
-                            target,
-                            attempt,
-                            deadline: retry_deadline(
-                                now,
-                                cfg.retry_timeout,
-                                cfg.jitter_seed,
-                                token,
-                                attempt,
-                            ),
-                            trace_req: p.trace_req,
-                        },
-                    );
-                    if !breakers.is_empty() {
-                        breakers[target].on_send(now_us);
-                    }
-                    ServerStats::bump(&ctx.stats.forward_msgs);
-                    let _ = send_tx.send(SendJob::Msg {
-                        to: target,
-                        msg: WireMsg {
-                            kind: WireKind::Forward,
-                            file: p.file,
-                            token,
-                            sender_load: load,
-                            parent_span: send_span,
-                            payload: Vec::new(),
-                        },
-                        needs_credit: true,
-                    });
+                    let p = Pending {
+                        target: target.0 as usize,
+                        attempt,
+                        deadline: now,
+                        ..p
+                    };
+                    self.send_forward(token, p, retry_span);
                 }
-            }
-        }
-        // Periodic load dissemination through remote memory writes: no
-        // receiver involvement, overwritable — the paper's ideal use.
-        if got_event && !crashed {
-            events_since_load_write += 1;
-            if events_since_load_write >= cfg.load_write_period {
-                events_since_load_write = 0;
-                let _ = send_tx.send(SendJob::RdmaLoad { load });
             }
         }
     }
-}
 
-/// Drains every inbound file ring: reads the sequence number at each
-/// slot's last bytes, and when the next expected number has landed,
-/// consumes the entry (completing the pending client request) and
-/// returns credits in batches. This is PRESS's version-3 receive path —
-/// no interrupts, no receive-thread involvement.
-#[allow(clippy::too_many_arguments)]
-fn poll_file_rings(
-    ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
-    expected: &mut [u64],
-    consumed: &mut [u32],
-    pending: &mut HashMap<u64, Pending>,
-    breakers: &mut [CircuitBreaker],
-    load: &mut u32,
-    crashed: bool,
-) {
-    for src in 0..ctx.nodes {
-        let Some(ring) = ctx.own_rings[src] else {
-            continue;
-        };
-        loop {
-            let slot = ((expected[src] - 1) % ctx.window as u64) as usize;
-            let trailer_off = slot * ctx.ring_slot_bytes + ctx.ring_slot_bytes - RING_TRAILER_BYTES;
-            let Ok(trailer) = ctx.nic.read_region(ring, trailer_off, RING_TRAILER_BYTES) else {
-                break;
-            };
-            let Some((len, token, parent, seq)) = decode_ring_trailer(&trailer) else {
-                break;
-            };
-            if seq != expected[src] {
-                break;
-            }
-            expected[src] += 1;
-            if crashed {
-                // Sequence advances, data is lost, no credits flow back:
-                // the sender sees a peer that stopped consuming.
-                consumed[src] = 0;
-                continue;
-            }
-            let Ok(payload) = ctx.nic.read_region(ring, slot * ctx.ring_slot_bytes, len) else {
-                ServerStats::bump(&ctx.stats.via_errors);
+    /// Drains every inbound file ring: reads the sequence number at each
+    /// slot's last bytes, and when the next expected number has landed,
+    /// consumes the entry (completing the pending client request) and
+    /// returns credits in batches. This is PRESS's version-3 receive path
+    /// — no interrupts, no receive-thread involvement. A crashed node
+    /// still advances sequence numbers (entries vanish into the dead host)
+    /// so the rings stay aligned for recovery, but it returns no credits
+    /// and completes nothing.
+    fn poll_file_rings(&mut self) {
+        for src in 0..self.ctx.nodes {
+            let Some(ring) = self.ctx.own_rings[src] else {
                 continue;
             };
-            if let Some(p) = pending.remove(&token) {
-                if !breakers.is_empty() {
-                    breakers[p.target].record_success();
+            loop {
+                let ctx = &self.ctx;
+                let slot = ((self.ring_expected[src] - 1) % ctx.window as u64) as usize;
+                let trailer_off =
+                    slot * ctx.ring_slot_bytes + ctx.ring_slot_bytes - RING_TRAILER_BYTES;
+                let Ok(trailer) = ctx.nic.read_region(ring, trailer_off, RING_TRAILER_BYTES) else {
+                    break;
+                };
+                let Some((len, token, parent, seq)) = decode_ring_trailer(&trailer) else {
+                    break;
+                };
+                if seq != self.ring_expected[src] {
+                    break;
                 }
+                self.ring_expected[src] += 1;
+                if self.crashed {
+                    // Sequence advances, data is lost, no credits flow
+                    // back: the sender sees a peer that stopped consuming.
+                    self.ring_consumed[src] = 0;
+                    continue;
+                }
+                let Ok(payload) = ctx.nic.read_region(ring, slot * ctx.ring_slot_bytes, len) else {
+                    ServerStats::bump(&ctx.stats.via_errors);
+                    continue;
+                };
                 // The ring trailer carried the remote sender's span id:
                 // stitch the zero-copy arrival into the causal chain.
-                let recv = ctx.trace_event_in(
-                    EventKind::ViaRecv,
-                    p.trace_req,
-                    len as u64,
-                    src as u64,
-                    parent,
-                );
-                let _ = p.reply.send(Reply::Data(payload));
-                // Forward completed: close it out of the load counter.
-                *load = (*load).saturating_sub(1);
-                ctx.trace_event_in(EventKind::Done, p.trace_req, len as u64, 0, recv);
-            }
-            consumed[src] += 1;
-            if consumed[src] >= ctx.credit_batch {
-                let n = consumed[src];
-                consumed[src] = 0;
-                ServerStats::bump(&ctx.stats.flow_msgs);
-                let _ = send_tx.send(SendJob::Msg {
-                    to: src,
-                    msg: WireMsg {
-                        kind: WireKind::Flow,
-                        file: FileId(0),
-                        token: n as u64,
-                        sender_load: 0,
-                        parent_span: 0,
-                        payload: Vec::new(),
-                    },
-                    needs_credit: false,
-                });
+                self.complete_forward(token, src, parent, payload);
+                consumed_one(&self.ctx, &self.send_tx, &mut self.ring_consumed[src], src);
             }
         }
     }
-}
 
-fn send_reply(stats: &ServerStats, reply: &Sender<Reply>, file: FileId, bytes: u64) {
-    ServerStats::bump(&stats.served_local);
-    let _ = reply.send(Reply::Data(file_contents(file, bytes as usize)));
-}
-
-/// Queues a waiter on an in-flight (or newly issued) disk read. The
-/// first waiter for a file actually issues the read and owns the trace
-/// context the eventual `DiskRead` span is charged to; later waiters
-/// piggy-back on that read (and chain their own completion events off
-/// the same span).
-#[allow(clippy::too_many_arguments)]
-fn enqueue_disk(
-    cfg: &MainConfig,
-    ctx: &NodeCtx,
-    waiting: &mut HashMap<FileId, DiskWait>,
-    file: FileId,
-    bytes: u64,
-    treq: u64,
-    parent: u32,
-    waiter: DiskWaiter,
-) {
-    use std::collections::hash_map::Entry;
-    match waiting.entry(file) {
-        Entry::Occupied(mut e) => e.get_mut().waiters.push(waiter),
-        Entry::Vacant(e) => {
-            e.insert(DiskWait {
-                start_ns: ctx.trace.as_ref().map(|t| t.now_ns()).unwrap_or(0),
-                req: treq,
-                parent,
-                waiters: vec![waiter],
-            });
-            ServerStats::bump(&ctx.stats.disk_reads);
-            let _ = cfg.disk_tx.send((file, bytes));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn send_file_back(
-    ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
-    to: usize,
-    token: u64,
-    file: FileId,
-    bytes: u64,
-    load: u32,
-    parent: u32,
-) {
-    ServerStats::bump(&ctx.stats.file_msgs);
-    // The send span becomes the wire-carried causal context, so the
-    // origin's ViaRecv stitches straight onto this node's chain.
-    let send_span = ctx.trace_event_in(EventKind::ViaSend, token, bytes, to as u64, parent);
-    let _ = send_tx.send(SendJob::Msg {
-        to,
-        msg: WireMsg {
-            kind: WireKind::FileData,
-            file,
-            token,
-            sender_load: load,
-            parent_span: send_span,
-            payload: file_contents(file, bytes as usize),
-        },
-        needs_credit: true,
-    });
-}
-
-fn broadcast_caching(
-    ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
-    file: FileId,
-    action: u64,
-    load: u32,
-    tree: bool,
-) {
-    if tree {
-        // The origin rides in the token's high bits (action stays in the
-        // low byte), so relays can rebuild the same tree: the wire format
-        // is unchanged, legacy receivers see origin 0 == "the sender".
-        let token = action | ((ctx.id as u64 + 1) << 8);
-        tree_caching_fanout(ctx, send_tx, file, token, load, ctx.id);
-    } else {
-        for peer in 0..ctx.nodes {
-            if peer == ctx.id || !ctx.membership.is_live(peer) {
-                continue;
-            }
-            ServerStats::bump(&ctx.stats.caching_msgs);
-            let _ = send_tx.send(SendJob::Msg {
-                to: peer,
-                msg: WireMsg {
-                    kind: WireKind::Caching,
-                    file,
-                    token: action,
-                    sender_load: load,
-                    parent_span: 0,
-                    payload: Vec::new(),
-                },
-                needs_credit: true,
-            });
-        }
-    }
-}
-
-/// Sends a (possibly relayed) tree-routed Caching message to this node's
-/// children in the dissemination tree rooted at `origin`, rebuilt from
-/// the *current* membership snapshot — so a crash or rejoin between hops
-/// re-routes the rest of the broadcast (epoch-aware repair), with no
-/// repair protocol. The credit window applies per hop, exactly as for
-/// flat sends.
-fn tree_caching_fanout(
-    ctx: &NodeCtx,
-    send_tx: &Sender<SendJob>,
-    file: FileId,
-    token: u64,
-    load: u32,
-    origin: usize,
-) {
-    let (_, mask) = ctx.membership.snapshot();
-    let topo = select_topology(mask.count_ones(), 0);
-    let tree = TreeView::build(topo, origin as u16, mask as u128, ctx.nodes as u16);
-    let children = tree.children(ctx.id as u16);
-    if children.is_empty() {
-        return;
-    }
-    ctx.trace_event(
-        EventKind::TreeRelay,
-        0,
-        origin as u64,
-        children.len() as u64,
-    );
-    for c in children {
-        ServerStats::bump(&ctx.stats.caching_msgs);
-        let _ = send_tx.send(SendJob::Msg {
-            to: c as usize,
-            msg: WireMsg {
-                kind: WireKind::Caching,
-                file,
-                token,
-                sender_load: load,
-                parent_span: 0,
-                payload: Vec::new(),
-            },
+    /// Queues `msg` for the send thread; it waits for a credit toward `to`.
+    fn send(&self, to: usize, msg: WireMsg) {
+        let _ = self.send_tx.send(SendJob::Msg {
+            to,
+            msg,
             needs_credit: true,
+        });
+    }
+
+    fn send_file_back(&self, to: usize, token: u64, file: FileId, parent: u32) {
+        let bytes = self.cfg.catalog.size(file);
+        ServerStats::bump(&self.ctx.stats.file_msgs);
+        // The send span becomes the wire-carried causal context, so the
+        // origin's ViaRecv stitches straight onto this node's chain.
+        let send_span =
+            self.ctx
+                .trace_event_in(EventKind::ViaSend, token, bytes, to as u64, parent);
+        let mut msg = WireMsg::header(WireKind::FileData, file, token, self.load, send_span);
+        msg.payload = file_contents(file, bytes as usize);
+        self.send(to, msg);
+    }
+
+    fn broadcast_caching(&self, file: FileId, action: u64) {
+        if self.cfg.tree_caching {
+            // The origin rides in the token's high bits (action stays in
+            // the low byte), so relays can rebuild the same tree: the wire
+            // format is unchanged, legacy receivers see origin 0 == "the
+            // sender".
+            let token = action | ((self.ctx.id as u64 + 1) << 8);
+            self.tree_caching_fanout(file, token, self.load, self.ctx.id);
+        } else {
+            let (_, live) = self.ctx.membership.snapshot();
+            let peers = NodeList::from_mask(with_member(live as u128, self.me, false));
+            for peer in peers.iter() {
+                ServerStats::bump(&self.ctx.stats.caching_msgs);
+                let msg = WireMsg::header(WireKind::Caching, file, action, self.load, 0);
+                self.send(peer.0 as usize, msg);
+            }
+        }
+    }
+
+    /// Sends a (possibly relayed) tree-routed Caching message to this
+    /// node's children in the dissemination tree rooted at `origin`,
+    /// rebuilt from the *current* membership snapshot — so a crash or
+    /// rejoin between hops re-routes the rest of the broadcast
+    /// (epoch-aware repair), with no repair protocol. The credit window
+    /// applies per hop, exactly as for flat sends.
+    fn tree_caching_fanout(&self, file: FileId, token: u64, load: u32, origin: usize) {
+        let ctx = &self.ctx;
+        let (_, mask) = ctx.membership.snapshot();
+        let topo = select_topology(mask.count_ones(), 0);
+        let tree = TreeView::build(topo, origin as u16, mask as u128, ctx.nodes as u16);
+        let children = tree.children(self.me);
+        if children.is_empty() {
+            return;
+        }
+        ctx.trace_event(
+            EventKind::TreeRelay,
+            0,
+            origin as u64,
+            children.len() as u64,
+        );
+        for c in children {
+            ServerStats::bump(&ctx.stats.caching_msgs);
+            self.send(
+                c as usize,
+                WireMsg::header(WireKind::Caching, file, token, load, 0),
+            );
+        }
+    }
+}
+
+/// Counts one consumed credit-bearing message from `peer` and returns
+/// the batch of credits to it once `credit_batch` have accumulated.
+fn consumed_one(ctx: &NodeCtx, send_tx: &Sender<SendJob>, consumed: &mut u32, peer: usize) {
+    *consumed += 1;
+    if *consumed >= ctx.credit_batch {
+        let n = std::mem::take(consumed);
+        ServerStats::bump(&ctx.stats.flow_msgs);
+        let _ = send_tx.send(SendJob::Msg {
+            to: peer,
+            msg: WireMsg::header(WireKind::Flow, FileId(0), n as u64, 0, 0),
+            needs_credit: false,
         });
     }
 }
@@ -1581,24 +1394,7 @@ pub(crate) fn recv_loop(
                     continue;
                 }
                 // Credit-consuming message: count toward a batch return.
-                consumed[peer] += 1;
-                if consumed[peer] >= ctx.credit_batch {
-                    let n = consumed[peer];
-                    consumed[peer] = 0;
-                    ServerStats::bump(&ctx.stats.flow_msgs);
-                    let _ = send_tx.send(SendJob::Msg {
-                        to: peer,
-                        msg: WireMsg {
-                            kind: WireKind::Flow,
-                            file: FileId(0),
-                            token: n as u64,
-                            sender_load: 0,
-                            parent_span: 0,
-                            payload: Vec::new(),
-                        },
-                        needs_credit: false,
-                    });
-                }
+                consumed_one(&ctx, &send_tx, &mut consumed[peer], peer);
                 let _ = main_tx.send(NodeEvent::Remote { from: peer, msg });
             }
         }

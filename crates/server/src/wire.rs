@@ -62,6 +62,24 @@ pub struct WireMsg {
 }
 
 impl WireMsg {
+    /// A message with no payload.
+    pub fn header(
+        kind: WireKind,
+        file: FileId,
+        token: u64,
+        sender_load: u32,
+        parent_span: u32,
+    ) -> Self {
+        WireMsg {
+            kind,
+            file,
+            token,
+            sender_load,
+            parent_span,
+            payload: Vec::new(),
+        }
+    }
+
     /// Serializes header + payload into `buf`; returns the total length.
     ///
     /// # Panics

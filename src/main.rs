@@ -93,9 +93,9 @@ USAGE:
         Run the seeded chaos scenario suite (flash crowds, diurnal load,
         working-set drift, content churn, node crashes) and print one SLO
         report card per scenario. The sim engine is deterministic: the
-        same seed renders byte-identical cards. Sim rows land in
-        results/bench.json; live cards carry wall-clock latencies and are
-        reduced to their structural lines under --quiet. Failing cards
+        same seed renders byte-identical cards. Live cards carry
+        wall-clock latencies and are reduced to their structural lines
+        under --quiet. Failing cards
         (and, in the sim, breaker-trips) dump flight-recorder traces to
         results/flight_chaos_<engine>_<arm>.json.
         --engine     sim|live                    (default sim)
@@ -194,6 +194,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         cfg.measure_requests = parse(&flags, "measure", 60_000u64)?;
         cfg.warmup_requests = parse(&flags, "warmup", 20_000u64)?;
         cfg.seed = parse(&flags, "seed", cfg.seed)?;
+        cfg.validate().map_err(|e| e.to_string())?;
 
         let m = run_simulation(&cfg);
         println!(
@@ -347,6 +348,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
                         cfg.measure_requests = measure;
                         cfg.warmup_requests = warmup;
                         cfg.seed = parse(&flags, "seed", cfg.seed)?;
+                        cfg.validate().map_err(|e| e.to_string())?;
                         let label = format!(
                             "{}/{}/{}/{}",
                             preset.name(),
@@ -368,9 +370,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             )
         });
         let results = runner.run(jobs);
-        // Timing rows land in results/bench.json (created when absent,
-        // re-runs replacing their previous rows).
-        press::bench::record_timings_as("sweep", &results);
         println!(
             "{:<36} {:>10} {:>10} {:>9}",
             "configuration", "req/s", "resp ms", "hit rate"
@@ -458,6 +457,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         cfg.warmup_requests = parse(&flags, "warmup", 2_000u64)?;
         cfg.nodes = parse(&flags, "nodes", cfg.nodes)?;
         cfg.seed = parse(&flags, "seed", cfg.seed)?;
+        cfg.validate().map_err(|e| e.to_string())?;
         let out_dir = flags
             .get("out")
             .cloned()
@@ -580,7 +580,6 @@ fn cmd_attribute(args: &[String]) -> ExitCode {
             .unwrap_or_else(|| "results".into());
         std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
 
-        let mut rows: Vec<press::core::RunResult> = Vec::new();
         let mut artifacts: Vec<String> = Vec::new();
         for &version in &versions {
             for &strategy in &strategies {
@@ -591,12 +590,11 @@ fn cmd_attribute(args: &[String]) -> ExitCode {
                 cfg.measure_requests = measure;
                 cfg.warmup_requests = warmup;
                 cfg.seed = parse(&flags, "seed", cfg.seed)?;
+                cfg.validate().map_err(|e| e.to_string())?;
                 press::telem::progress_with(|| {
                     format!("attribute: {}/{} ...", version.name(), strategy.name())
                 });
-                let t0 = std::time::Instant::now();
-                let (metrics, trace) = run_simulation_traced(&cfg);
-                let wall = t0.elapsed();
+                let (_, trace) = run_simulation_traced(&cfg);
                 let attrs = press::telem::attribute_trace(&trace);
                 let summary = press::telem::summarize(&attrs);
                 println!(
@@ -619,21 +617,9 @@ fn cmd_attribute(args: &[String]) -> ExitCode {
                 );
                 std::fs::write(&path, &chrome).map_err(|e| format!("cannot write {path}: {e}"))?;
                 artifacts.push(path);
-                rows.push(press::core::RunResult {
-                    label: format!(
-                        "{}/{}/{} hot {}",
-                        preset.name(),
-                        version.name(),
-                        strategy.name(),
-                        press::telem::hot_stages(&summary)
-                    ),
-                    metrics,
-                    wall,
-                });
                 println!();
             }
         }
-        press::bench::record_timings_as("attribute", &rows);
         println!("artifacts:");
         for p in &artifacts {
             println!("  {p}   (open in https://ui.perfetto.dev or chrome://tracing)");
@@ -745,10 +731,9 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
     }
 }
 
-/// The simulated chaos suite: deterministic cards on stdout, one timing
-/// row per (scenario, protection) in the bench log, and — when both
-/// protection arms run — the protected-vs-unprotected p99 comparison
-/// under the flash-crowd-plus-crash stressor.
+/// The simulated chaos suite: deterministic cards on stdout and — when
+/// both protection arms run — the protected-vs-unprotected p99
+/// comparison under the flash-crowd-plus-crash stressor.
 fn chaos_sim(flags: &HashMap<String, String>, smoke: bool) -> Result<(), String> {
     let preset = parse_preset(flags.get("trace").map(String::as_str))?;
     let mut cfg = SimConfig::paper_default(preset);
@@ -756,6 +741,7 @@ fn chaos_sim(flags: &HashMap<String, String>, smoke: bool) -> Result<(), String>
     cfg.measure_requests = parse(flags, "measure", 20_000u64)?;
     cfg.warmup_requests = parse(flags, "warmup", 5_000u64)?;
     cfg.seed = parse(flags, "seed", cfg.seed)?;
+    cfg.validate().map_err(|e| e.to_string())?;
     let arms = parse_protection(
         flags
             .get("protection")
@@ -764,17 +750,12 @@ fn chaos_sim(flags: &HashMap<String, String>, smoke: bool) -> Result<(), String>
     )?;
 
     let suite_name = if smoke { "smoke" } else { "full" };
-    let mut rows: Vec<press::core::RunResult> = Vec::new();
-    // (protected, p99_ms, target_p99_ms, metrics) of the stressor runs.
-    let mut stress: Vec<(bool, f64, f64, Metrics)> = Vec::new();
+    // (protected, p99_ms, target_p99_ms) of the stressor runs.
+    let mut stress: Vec<(bool, f64, f64)> = Vec::new();
     for &protected in &arms {
         let arm = if protected { "on" } else { "off" };
         press::telem::progress_with(|| format!("chaos sim: {suite_name} suite, protection {arm}"));
-        let t0 = std::time::Instant::now();
         let report = press::core::chaos::run_suite_sim(&cfg, protected, smoke);
-        // Suite wall time split evenly across cards: the bench log wants
-        // a per-row cost and the suite runs its scenarios back to back.
-        let per_card = t0.elapsed() / report.cards.len().max(1) as u32;
         println!(
             "== chaos sim | trace {} | suite {} | seed {} | protection {} ==",
             preset.name(),
@@ -791,39 +772,20 @@ fn chaos_sim(flags: &HashMap<String, String>, smoke: bool) -> Result<(), String>
         }
         println!();
         write_flight_dumps("sim", arm, &report.flight_dumps)?;
-        for (card, m) in report.cards.iter().zip(&report.metrics) {
-            rows.push(press::core::RunResult {
-                label: format!("{}/{}/{}", preset.name(), card.scenario, arm),
-                metrics: m.clone(),
-                wall: per_card,
-            });
+        for card in &report.cards {
             if card.scenario == "flash+crash" {
-                stress.push((protected, card.p99_ms, card.target.p99_ms, m.clone()));
+                stress.push((protected, card.p99_ms, card.target.p99_ms));
             }
         }
     }
     // The acceptance comparison: with protection the stressor's p99 must
     // hold inside the 2x-steady target that the raw build blows through.
-    // The label carries the numbers so the comparison itself lands in
-    // the bench log (deterministic for a fixed seed, hence idempotent).
     if let (Some(on), Some(off)) = (stress.iter().find(|s| s.0), stress.iter().find(|s| !s.0)) {
         println!(
             "flash+crash p99: protected {:.2} ms vs unprotected {:.2} ms (target <= {:.2} ms)",
             on.1, off.1, on.2
         );
-        rows.push(press::core::RunResult {
-            label: format!(
-                "{}/flash+crash/p99-cmp protected {:.2}ms unprotected {:.2}ms target {:.2}ms",
-                preset.name(),
-                on.1,
-                off.1,
-                on.2
-            ),
-            metrics: on.3.clone(),
-            wall: std::time::Duration::ZERO,
-        });
     }
-    press::bench::record_timings_as("chaos", &rows);
     Ok(())
 }
 

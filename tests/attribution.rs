@@ -204,7 +204,6 @@ fn attribute_cli_is_byte_deterministic() {
                 "--out",
                 dir.to_str().expect("utf-8 path"),
             ])
-            .env("PRESS_BENCH_LOG", dir.join("bench.json"))
             .env("PRESS_QUIET", "1")
             .output()
             .expect("run press attribute");

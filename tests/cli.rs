@@ -157,6 +157,27 @@ fn sweep_rejects_bad_version() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown version"));
 }
 
+/// Out-of-range cluster sizes and an empty measurement are rejected with
+/// a one-line error and a nonzero exit, never a panic (exit code 101).
+#[test]
+fn simulate_rejects_invalid_configs() {
+    for (args, needle) in [
+        (["--nodes", "129"], "at most 128 nodes"),
+        (["--nodes", "1"], "at least two nodes"),
+        (["--measure", "0"], "nothing to measure"),
+    ] {
+        let out = press()
+            .arg("simulate")
+            .args(args)
+            .output()
+            .expect("run press");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn export_then_replay_round_trip() {
     let dir = std::env::temp_dir().join("press-cli-test");
