@@ -54,9 +54,9 @@ const SHED_RETRY_DELAY: SimTime = SimTime::from_micros(5_000);
 /// Stagger between the arrivals of a scenario's surge clients (matches
 /// the driver's initial client stagger).
 const SURGE_STAGGER: SimTime = SimTime::from_micros(97);
-/// Doorbell batch size modeled for the V6 fast path (matches the live
-/// engine's default): the per-doorbell CPU cost is amortized over this
-/// many coalesced sends.
+/// Doorbell batch size modeled for the V6 fast path: the batch a
+/// saturated V6 send thread reaches, with jobs queued behind every post.
+/// The per-doorbell CPU cost is amortized over this many coalesced sends.
 const DOORBELL_BATCH: usize = 4;
 /// How long a power-of-two-choices decision waits for probe replies
 /// before falling back to whatever replies have arrived. Generous

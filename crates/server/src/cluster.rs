@@ -46,9 +46,10 @@ pub struct LiveConfig {
     /// (V0–V2) or remote writes into polled circular buffers (V3–V5).
     pub file_transfer: FileTransferMode,
     /// Doorbell coalescing for the V6 fast path: sends are staged into a
-    /// lock-free slab pool and posted `doorbell_batch` descriptors per
-    /// doorbell ring. `1` (the default, V0–V5) posts every descriptor
-    /// individually and allocates no pool — the pre-V6 path, unchanged.
+    /// lock-free slab pool and posted up to `doorbell_batch` descriptors
+    /// per ring, flushed whenever the send queue drains. `1` (the
+    /// default, V0–V5) posts every descriptor individually and allocates
+    /// no pool — the pre-V6 path, unchanged.
     pub doorbell_batch: u32,
     /// Base deadline for a forwarded request's reply before it is retried
     /// against another live cacher (doubles per attempt, capped at 8×).
@@ -98,6 +99,79 @@ impl Default for LiveConfig {
         }
     }
 }
+
+impl LiveConfig {
+    /// Checks the limits a cluster needs before anything is built.
+    ///
+    /// # Errors
+    ///
+    /// The first [`LiveConfigError`] the configuration violates.
+    pub fn validate(&self) -> Result<(), LiveConfigError> {
+        if !(2..=MAX_LIVE_NODES).contains(&self.nodes) {
+            Err(LiveConfigError::NodeCount(self.nodes))
+        } else if self.window == 0 || self.credit_batch == 0 {
+            Err(LiveConfigError::EmptyWindow)
+        } else if !self.window.is_multiple_of(self.credit_batch) {
+            Err(LiveConfigError::WindowNotMultipleOfBatch {
+                window: self.window,
+                credit_batch: self.credit_batch,
+            })
+        } else if !(1..=MAX_DOORBELL as u32).contains(&self.doorbell_batch) {
+            Err(LiveConfigError::DoorbellBatch(self.doorbell_batch))
+        } else {
+            Ok(())
+        }
+    }
+}
+
+/// Most nodes a live cluster runs: membership is one `u64` bitmask.
+const MAX_LIVE_NODES: usize = 64;
+
+/// Why a [`LiveConfig`] cannot start a cluster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiveConfigError {
+    /// Node count outside `2..=64`.
+    NodeCount(usize),
+    /// A zero credit window or credit batch: nothing could ever be sent.
+    EmptyWindow,
+    /// Credits return in whole batches, so the window must divide evenly.
+    WindowNotMultipleOfBatch {
+        /// The configured window.
+        window: u32,
+        /// The configured credit batch.
+        credit_batch: u32,
+    },
+    /// Doorbell batch outside `1..=MAX_DOORBELL`.
+    DoorbellBatch(u32),
+}
+
+impl std::fmt::Display for LiveConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LiveConfigError::NodeCount(n) => {
+                write!(
+                    f,
+                    "{n} node(s): a live cluster needs 2..={MAX_LIVE_NODES} nodes"
+                )
+            }
+            LiveConfigError::EmptyWindow => {
+                f.write_str("window and credit batch must both be positive")
+            }
+            LiveConfigError::WindowNotMultipleOfBatch {
+                window,
+                credit_batch,
+            } => write!(
+                f,
+                "window must be a multiple of the credit batch ({window} % {credit_batch} != 0)"
+            ),
+            LiveConfigError::DoorbellBatch(b) => {
+                write!(f, "doorbell batch must be in 1..={MAX_DOORBELL}, got {b}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LiveConfigError {}
 
 /// Errors surfaced to live-cluster clients.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -226,8 +300,7 @@ impl LiveCluster {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is not in `2..=64` or the configuration is
-    /// internally inconsistent (e.g. window not a multiple of the batch).
+    /// Panics if [`LiveConfig::validate`] rejects `cfg`.
     pub fn start(cfg: LiveConfig, catalog: FileCatalog) -> LiveCluster {
         // `PRESS_TRACE` turns on wall-clock span recording cluster-wide.
         let tracer = matches!(std::env::var("PRESS_TRACE"), Ok(v) if !v.is_empty() && v != "0")
@@ -244,17 +317,9 @@ impl LiveCluster {
         catalog: FileCatalog,
         tracer: Option<Arc<LiveTracer>>,
     ) -> LiveCluster {
-        assert!((2..=64).contains(&cfg.nodes), "2..=64 nodes");
-        assert!(cfg.window > 0 && cfg.credit_batch > 0);
-        assert_eq!(
-            cfg.window % cfg.credit_batch,
-            0,
-            "window must be a multiple of the credit batch"
-        );
-        assert!(
-            (1..=MAX_DOORBELL as u32).contains(&cfg.doorbell_batch),
-            "doorbell batch must be in 1..={MAX_DOORBELL}"
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid live config: {e}");
+        }
         let n = cfg.nodes;
         if let Some(plan) = &cfg.faults {
             plan.assert_valid(n);
@@ -713,5 +778,87 @@ impl LiveCluster {
         // the happens-before edge the ring drain relies on.
         self.nics.clear();
         self.tracer.take().map(|t| t.drain())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn validate_rejects_node_counts_outside_2_to_64() {
+        assert_eq!(LiveConfig::default().validate(), Ok(()));
+        for nodes in [0, 1, 65] {
+            let cfg = LiveConfig {
+                nodes,
+                ..LiveConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(LiveConfigError::NodeCount(nodes)));
+        }
+        for nodes in [2, 64] {
+            let cfg = LiveConfig {
+                nodes,
+                ..LiveConfig::default()
+            };
+            assert_eq!(cfg.validate(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_an_empty_window_or_credit_batch() {
+        for (window, credit_batch) in [(0, 4), (16, 0)] {
+            let cfg = LiveConfig {
+                window,
+                credit_batch,
+                ..LiveConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(LiveConfigError::EmptyWindow));
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_window_not_a_multiple_of_the_credit_batch() {
+        let cfg = LiveConfig {
+            window: 10,
+            credit_batch: 4,
+            ..LiveConfig::default()
+        };
+        let err = cfg.validate().unwrap_err();
+        assert_eq!(
+            err,
+            LiveConfigError::WindowNotMultipleOfBatch {
+                window: 10,
+                credit_batch: 4
+            }
+        );
+        assert!(err
+            .to_string()
+            .contains("window must be a multiple of the credit batch"));
+    }
+
+    #[test]
+    fn validate_rejects_doorbell_batches_outside_1_to_max() {
+        for batch in [0, MAX_DOORBELL as u32 + 1] {
+            let cfg = LiveConfig {
+                doorbell_batch: batch,
+                ..LiveConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(LiveConfigError::DoorbellBatch(batch)));
+        }
+        let cfg = LiveConfig {
+            doorbell_batch: MAX_DOORBELL as u32,
+            ..LiveConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid live config: 1 node(s)")]
+    fn start_panics_through_validate() {
+        let cfg = LiveConfig {
+            nodes: 1,
+            ..LiveConfig::default()
+        };
+        LiveCluster::start_with_tracer(cfg, FileCatalog::from_sizes(vec![64; 4]), None);
     }
 }

@@ -34,7 +34,7 @@ mod stats;
 mod wire;
 
 pub use chaos::{run_suite_live, LiveChaosConfig};
-pub use cluster::{LiveCluster, LiveConfig, LiveError};
+pub use cluster::{LiveCluster, LiveConfig, LiveConfigError, LiveError};
 pub use membership::Membership;
 pub use node::FileTransferMode;
 pub use press_core::FaultPlan;

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use press_cluster::{FileCache, NodeId};
 use press_collect::{sample_peers, select_topology, DetRng, TreeView};
 use press_core::forward::{is_member, with_member};
@@ -960,11 +960,6 @@ fn post_legacy(
     }
 }
 
-/// How long a partially-filled doorbell batch may wait before the stale
-/// flush posts it anyway — bounds the tail latency a coalesced message
-/// can pay on a lightly loaded connection.
-const DOORBELL_MAX_DELAY: Duration = Duration::from_micros(200);
-
 /// Flushes one peer's doorbell, surfacing failures as via_errors.
 fn flush_bell(ctx: &NodeCtx, bell: &mut Option<Doorbell>) {
     if let Some(b) = bell {
@@ -1084,37 +1079,33 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
 
     // V6 fast path: one doorbell per peer coalescing descriptor posts,
     // fed from the shared slab pool. All None when doorbell_batch is 1,
-    // leaving the V0–V5 path byte-for-byte untouched.
+    // leaving the V0–V5 path byte-for-byte untouched. No age limit: the
+    // loop below rings every staged batch before it sleeps.
     let mut bells: Vec<Option<Doorbell>> = (0..n)
         .map(|peer| {
             (ctx.doorbell_batch > 1)
                 .then(|| ctx.vis[peer].clone())
                 .flatten()
-                .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, DOORBELL_MAX_DELAY))
+                .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, Duration::MAX))
         })
         .collect();
 
     loop {
-        // The fast path wakes periodically to flush batches that went
-        // stale (no later send arrived to fill them); V0–V5 block.
-        let job = if ctx.doorbell_batch > 1 {
-            match jobs.recv_timeout(DOORBELL_MAX_DELAY) {
-                Ok(j) => j,
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    for bell in bells.iter_mut().flatten() {
-                        if bell.flush_stale().is_err() {
-                            ServerStats::bump(&ctx.stats.via_errors);
-                        }
-                    }
-                    continue;
+        // Queued jobs are taken without blocking so a burst coalesces;
+        // once the queue runs dry, staged batches are flushed before the
+        // thread sleeps, so no partial batch waits on later traffic.
+        let job = match jobs.try_recv() {
+            Ok(j) => j,
+            Err(TryRecvError::Empty) => {
+                for bell in bells.iter_mut() {
+                    flush_bell(&ctx, bell);
                 }
-                Err(_) => break,
+                match jobs.recv() {
+                    Ok(j) => j,
+                    Err(_) => break,
+                }
             }
-        } else {
-            match jobs.recv() {
-                Ok(j) => j,
-                Err(_) => break,
-            }
+            Err(TryRecvError::Disconnected) => break,
         };
         match job {
             SendJob::Shutdown => break,
@@ -1203,20 +1194,18 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
                 // peers instead of all of them (power-of-two-choices
                 // reads tolerate stale views elsewhere). Fanout 0 keeps
                 // the dense legacy behaviour.
-                let sparse_targets = if ctx.load_write_fanout > 0 {
-                    let (_, mask) = ctx.membership.snapshot();
-                    Some(sample_peers(
+                let (_, live) = ctx.membership.snapshot();
+                let sparse_targets = (ctx.load_write_fanout > 0).then(|| {
+                    sample_peers(
                         &mut load_rng,
                         ctx.id as u16,
-                        mask as u128,
+                        live as u128,
                         ctx.nodes as u16,
                         ctx.load_write_fanout as usize,
-                    ))
-                } else {
-                    None
-                };
+                    )
+                });
                 for (peer, bell) in bells.iter_mut().enumerate() {
-                    if peer == ctx.id || !ctx.membership.is_live(peer) {
+                    if peer == ctx.id || !is_member(live as u128, peer as u16) {
                         continue;
                     }
                     if let Some(ts) = &sparse_targets {

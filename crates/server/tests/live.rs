@@ -4,6 +4,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use press_core::forward::{all_nodes, is_member};
+use press_core::CacheDirectory;
 use press_server::{
     file_contents, FileTransferMode, LiveCluster, LiveConfig, LiveError, ServerStats,
 };
@@ -399,6 +401,44 @@ fn fast_path_survives_window_pressure() {
         Ok(c) => c.shutdown(),
         Err(_) => panic!("cluster still shared"),
     }
+}
+
+#[test]
+fn fast_path_never_strands_a_partial_batch() {
+    // One closed-loop client forwarding one request at a time never fills
+    // an 8-descriptor batch: each Forward is posted only because the send
+    // thread rings its doorbell before it sleeps. Nothing else may push a
+    // stranded batch out: load-table writes are off, and the retry timer
+    // is longer than the client's budget. A lost idle flush then shows up
+    // as a timed-out request, with no timing assertion.
+    let cfg = LiveConfig {
+        file_transfer: FileTransferMode::RemoteWrite,
+        doorbell_batch: 8,
+        load_write_period: u32::MAX,
+        retry_timeout: Duration::from_secs(60),
+        ..LiveConfig::default()
+    };
+    let nodes = cfg.nodes;
+    let catalog = small_catalog(64, 2048);
+    let (directory, _) = CacheDirectory::warm_start(&catalog, nodes, cfg.cache_bytes);
+    let cluster = LiveCluster::start(cfg, catalog);
+    let requests = 300u32;
+    for i in 0..requests {
+        let file = FileId(i % 64);
+        // Ask a node that does not cache the file, so it must forward.
+        let cachers = directory.live_cachers(file, all_nodes(nodes)).mask();
+        let node = (0..nodes)
+            .find(|&n| !is_member(cachers, n as u16))
+            .expect("a non-caching node");
+        let data = cluster
+            .request(node, file, Duration::from_secs(2))
+            .unwrap_or_else(|e| panic!("request {i} for {file} at node {node}: {e}"));
+        assert_eq!(data, file_contents(file, 2048), "request {i}");
+    }
+    let stats = cluster.stats();
+    assert_eq!(ServerStats::get(&stats.forwarded), u64::from(requests));
+    assert_eq!(ServerStats::get(&stats.retries), 0);
+    cluster.shutdown();
 }
 
 #[test]
