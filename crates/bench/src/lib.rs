@@ -42,11 +42,32 @@ fn env_u64(name: &str, default: u64) -> u64 {
 
 /// The standard experiment configuration for a trace preset, honoring the
 /// `PRESS_*` environment overrides.
+///
+/// An override that makes the configuration invalid (such as
+/// `PRESS_MEASURE_REQUESTS=0`) ends the process here with exit code 2
+/// and one `invalid simulation config: …` line on stderr, before any
+/// worker thread could panic on it.
 pub fn standard_config(preset: TracePreset) -> SimConfig {
     let mut cfg = SimConfig::paper_default(preset);
     cfg.measure_requests = env_u64("PRESS_MEASURE_REQUESTS", DEFAULT_MEASURE);
     cfg.warmup_requests = env_u64("PRESS_WARMUP_REQUESTS", DEFAULT_WARMUP);
+    if let Err(msg) = check_config(&cfg) {
+        press_telem::error(&msg);
+        std::process::exit(2);
+    }
     cfg
+}
+
+/// Validates `cfg`, rendering a failure as the one-line message a bench
+/// binary prints before it exits.
+///
+/// # Errors
+///
+/// `invalid simulation config: <reason>` when [`SimConfig::validate`]
+/// rejects `cfg`.
+fn check_config(cfg: &SimConfig) -> Result<(), String> {
+    cfg.validate()
+        .map_err(|e| format!("invalid simulation config: {e}"))
 }
 
 /// Factor extrapolating a measured run's message counts to the full trace
@@ -150,6 +171,27 @@ mod tests {
         assert_eq!(full.matches('#').count(), 50);
         let zero = bar("z", 0.0, 0.0);
         assert_eq!(zero.matches('#').count(), 0);
+    }
+
+    #[test]
+    fn check_config_passes_the_standard_config() {
+        let cfg = SimConfig::paper_default(TracePreset::Forth);
+        assert_eq!(check_config(&cfg), Ok(()));
+    }
+
+    #[test]
+    fn check_config_renders_one_line_errors() {
+        let mut cfg = SimConfig::paper_default(TracePreset::Forth);
+        cfg.measure_requests = 0;
+        let msg = check_config(&cfg).unwrap_err();
+        assert!(
+            msg.starts_with("invalid simulation config: "),
+            "unexpected message: {msg}"
+        );
+        assert!(!msg.contains('\n'), "not one line: {msg}");
+        cfg.measure_requests = 1;
+        cfg.nodes = 1;
+        assert!(check_config(&cfg).is_err());
     }
 
     #[test]

@@ -16,8 +16,8 @@ use press_via::{
 
 use crate::membership::Membership;
 use crate::node::{
-    disk_loop, main_loop, recv_loop, send_loop, slot_bytes_for, FileTransferMode, MainConfig,
-    NodeCtx, NodeEvent, Reply, SendJob,
+    disk_loop, main_loop, msg_bytes_for, recv_loop, ring_waker, send_loop, slot_bytes_for,
+    FileTransferMode, MainConfig, NodeCtx, NodeEvent, Reply, SendJob,
 };
 use crate::stats::ServerStats;
 use crate::wire::{HEADER_BYTES, RING_TRAILER_BYTES};
@@ -327,6 +327,7 @@ impl LiveCluster {
         let catalog = Arc::new(catalog);
         let max_file = catalog.iter().map(|(_, s)| s).max().unwrap_or(0);
         let slot_bytes = slot_bytes_for(max_file);
+        let msg_bytes = msg_bytes_for(cfg.file_transfer, slot_bytes);
         let stats = Arc::new(ServerStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
         let membership = Arc::new(Membership::new(n));
@@ -410,13 +411,13 @@ impl LiveCluster {
                     continue;
                 }
                 let recv = nics[i]
-                    .register(vec![0u8; slot_bytes * posted_per_peer], false)
+                    .register(vec![0u8; msg_bytes * posted_per_peer], false)
                     .expect("register recv region");
                 for s in 0..posted_per_peer {
                     vis[i][j]
                         .as_ref()
                         .expect("mesh vi")
-                        .post_recv(Descriptor::new(recv, s * slot_bytes, slot_bytes))
+                        .post_recv(Descriptor::new(recv, s * msg_bytes, msg_bytes))
                         .expect("post recv");
                 }
                 send_regions[i][j] = Some(
@@ -456,6 +457,14 @@ impl LiveCluster {
             let (main_tx, main_rx) = unbounded::<NodeEvent>();
             let (send_tx, send_rx) = unbounded::<SendJob>();
             let (disk_tx, disk_rx) = unbounded::<(FileId, u64)>();
+            // A write into any of this node's rings wakes its main loop.
+            let ring_wake = Arc::new(AtomicBool::new(false));
+            let wake = ring_waker(Arc::clone(&ring_wake), main_tx.clone());
+            for ring in rings[i].iter().flatten() {
+                nics[i]
+                    .on_remote_write(*ring, wake.clone())
+                    .expect("install ring waker");
+            }
             let ctx = Arc::new(NodeCtx {
                 id: i,
                 nodes: n,
@@ -471,6 +480,7 @@ impl LiveCluster {
                 // peer_rings[j] = the ring j registered for data from us.
                 peer_rings: peer_rings_all[i].clone(),
                 ring_slot_bytes,
+                ring_wake,
                 scratch_region: nics[i]
                     .register(vec![0u8; 4], false)
                     .expect("register scratch"),
@@ -480,7 +490,7 @@ impl LiveCluster {
                 send_pool: (cfg.doorbell_batch > 1).then(|| {
                     Arc::new(
                         nics[i]
-                            .register_slab((n - 1) * posted_per_peer, slot_bytes, false)
+                            .register_slab((n - 1) * posted_per_peer, msg_bytes, false)
                             .expect("register send slab"),
                     )
                 }),
@@ -488,6 +498,7 @@ impl LiveCluster {
                 window: cfg.window,
                 credit_batch: cfg.credit_batch,
                 slot_bytes,
+                msg_bytes,
                 stats: Arc::clone(&stats),
                 shutdown: Arc::clone(&shutdown),
                 membership: Arc::clone(&membership),

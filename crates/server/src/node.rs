@@ -36,7 +36,8 @@ pub enum FileTransferMode {
     /// completes and wakes the receive thread (versions V0–V2).
     Regular,
     /// Remote memory writes into per-pair circular buffers, discovered by
-    /// the main thread polling sequence numbers (versions V3–V5).
+    /// the main thread polling sequence numbers (versions V3–V5). A ring
+    /// write wakes an idle main thread ([`NodeEvent::RingWrite`]).
     RemoteWrite,
 }
 
@@ -67,6 +68,10 @@ pub(crate) enum NodeEvent {
     Remote { from: usize, msg: WireMsg },
     /// The disk thread finished reading `file`.
     DiskDone { file: FileId },
+    /// A remote write landed in one of this node's file rings: poll them.
+    /// Coalesced through [`NodeCtx::ring_wake`], so at most one is queued
+    /// per poll.
+    RingWrite,
     /// Fault injection: this node crashes. In-flight state is lost and
     /// events are discarded until [`NodeEvent::Recover`].
     Crash,
@@ -131,9 +136,17 @@ pub(crate) struct NodeCtx {
     pub peer_rings: Vec<Option<MemHandle>>,
     /// Ring slot size: max payload + trailer.
     pub ring_slot_bytes: usize,
+    /// Set while a [`NodeEvent::RingWrite`] is queued for the main loop:
+    /// the ring wakers send one only when they flip it from clear, and the
+    /// main loop clears it before each ring poll.
+    pub ring_wake: Arc<AtomicBool>,
     pub window: u32,
     pub credit_batch: u32,
+    /// Largest wire message: header plus the biggest file.
     pub slot_bytes: usize,
+    /// Size of a posted receive descriptor and of a V6 slab slot; see
+    /// [`msg_bytes_for`].
+    pub msg_bytes: usize,
     pub stats: Arc<ServerStats>,
     pub shutdown: Arc<AtomicBool>,
     /// Cluster-wide view of which nodes are alive.
@@ -270,21 +283,19 @@ pub(crate) fn main_loop(
         send_tx,
     };
     let mut events_since_load_write = 0u32;
-    // Regular mode used to block forever on the event channel; retry
-    // deadlines need a periodic wake-up, so both modes tick (RemoteWrite
-    // keeps its tight ring-polling cadence).
-    let tick = if m.ctx.file_mode == FileTransferMode::RemoteWrite {
-        Duration::from_micros(100)
-    } else {
-        Duration::from_millis(1)
-    };
+    // Retry deadlines are the only timed work: every arrival, ring writes
+    // included, wakes the loop through the event channel.
+    let tick = Duration::from_millis(1);
     loop {
         let event = match events.recv_timeout(tick) {
             Ok(ev) => Some(ev),
             Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
             Err(_) => break,
         };
-        let got_event = event.is_some();
+        // A ring wake-up is not work of its own (the file it announces
+        // completes a request counted at arrival), so it leaves the
+        // load-write cadence alone.
+        let got_event = !matches!(event, None | Some(NodeEvent::RingWrite));
         if let Some(event) = event {
             match event {
                 NodeEvent::Shutdown => break,
@@ -314,11 +325,19 @@ pub(crate) fn main_loop(
                 }
                 NodeEvent::Remote { from, msg } => m.remote(from, msg),
                 NodeEvent::DiskDone { file } => m.disk_done(file),
+                // The rings are polled below, as after every event.
+                NodeEvent::RingWrite => {}
             }
         }
         // Poll the RMW file rings at the end of the main server loop, as
         // in the paper: consume every entry whose sequence number landed.
         if m.ctx.file_mode == FileTransferMode::RemoteWrite {
+            // Clear the wake flag first: a write that lands after the poll
+            // below finds it clear and queues a fresh RingWrite.
+            // ordering: Acquire pairs with the waker's Release swap, so a
+            // write whose wake was coalesced into this one is visible to
+            // the poll.
+            m.ctx.ring_wake.swap(false, Ordering::Acquire);
             m.poll_file_rings();
         }
         if !m.pending.is_empty() && !m.crashed {
@@ -1390,14 +1409,14 @@ pub(crate) fn recv_loop(
     }
 }
 
-/// Reposts a consumed receive descriptor at full slot size; a failure
+/// Reposts a consumed receive descriptor at full message size; a failure
 /// costs one descriptor from the (slack-provisioned) pool, not the thread.
 fn repost_recv(ctx: &NodeCtx, peer: usize, c: &press_via::Completion) {
     let posted = ctx.vis[peer].as_ref().map(|vi| {
         vi.post_recv(Descriptor::new(
             c.descriptor.region,
             c.descriptor.offset,
-            ctx.slot_bytes,
+            ctx.msg_bytes,
         ))
     });
     if !matches!(posted, Some(Ok(()))) {
@@ -1426,4 +1445,31 @@ pub(crate) fn disk_loop(
 /// Upper bound on wire size for a file of `bytes` (header + payload).
 pub(crate) fn slot_bytes_for(max_file_bytes: u64) -> usize {
     HEADER_BYTES + max_file_bytes as usize
+}
+
+/// Largest message a receive descriptor or V6 slab slot must hold. In
+/// RemoteWrite mode file data travels only by RDMA into the rings, so
+/// every posted message is a bare header; Regular mode also carries files.
+pub(crate) fn msg_bytes_for(mode: FileTransferMode, slot_bytes: usize) -> usize {
+    match mode {
+        FileTransferMode::Regular => slot_bytes,
+        FileTransferMode::RemoteWrite => HEADER_BYTES,
+    }
+}
+
+/// A waker for [`press_via::Nic::on_remote_write`] over a node's file
+/// rings: the first write since the main loop's last poll queues one
+/// [`NodeEvent::RingWrite`]; later ones ride on it.
+pub(crate) fn ring_waker(
+    pending: Arc<AtomicBool>,
+    main_tx: Sender<NodeEvent>,
+) -> impl Fn() + Clone + Send + Sync + 'static {
+    move || {
+        // ordering: Release pairs with the main loop's Acquire swap: the
+        // ring bytes written before this wake are visible to the poll
+        // that clears the flag.
+        if !pending.swap(true, Ordering::Release) {
+            let _ = main_tx.send(NodeEvent::RingWrite);
+        }
+    }
 }

@@ -251,6 +251,9 @@ fn remote_write_mode_transfers_files_via_rings() {
         "all file transfers should use RDMA in RemoteWrite mode"
     );
     assert!(ServerStats::get(&stats.rdma_file_writes) > 0);
+    // Receive descriptors are header-sized in this mode: a message with a
+    // payload would fail its post and show up here.
+    assert_eq!(ServerStats::get(&stats.via_errors), 0);
     cluster.shutdown();
 }
 
@@ -281,6 +284,7 @@ fn remote_write_mode_survives_concurrency_and_ring_wrap() {
     for h in handles {
         h.join().expect("client");
     }
+    assert_eq!(ServerStats::get(&cluster.stats().via_errors), 0);
     match Arc::try_unwrap(cluster) {
         Ok(c) => c.shutdown(),
         Err(_) => panic!("still shared"),
@@ -438,6 +442,57 @@ fn fast_path_never_strands_a_partial_batch() {
     let stats = cluster.stats();
     assert_eq!(ServerStats::get(&stats.forwarded), u64::from(requests));
     assert_eq!(ServerStats::get(&stats.retries), 0);
+    cluster.shutdown();
+}
+
+#[test]
+fn ring_pickup_does_not_wait_for_the_tick() {
+    // One closed-loop client, every request forwarded: between requests
+    // the origin's main thread is idle, so only the ring waker can tell
+    // it that the file landed. Without it nothing else wakes that thread,
+    // and every request waits out the main loop's full 1 ms retry tick.
+    // With it the median is a few thread wake-ups: 0.1–0.8 ms on a
+    // 2-vCPU host, debug builds and a busy host included. Comparing it
+    // with the whole tick leaves room for a noisy host; without the
+    // waker no request can finish under the tick.
+    let cfg = LiveConfig {
+        file_transfer: FileTransferMode::RemoteWrite,
+        doorbell_batch: 1,
+        ..LiveConfig::default()
+    };
+    let tick = Duration::from_millis(1);
+    let nodes = cfg.nodes;
+    let catalog = small_catalog(64, 2048);
+    let (directory, _) = CacheDirectory::warm_start(&catalog, nodes, cfg.cache_bytes);
+    let cluster = LiveCluster::start(cfg, catalog);
+    let requests = 300u32;
+    let mut latencies = Vec::with_capacity(requests as usize);
+    for i in 0..requests {
+        let file = FileId(i % 64);
+        // Ask a node that does not cache the file, so it must forward.
+        let cachers = directory.live_cachers(file, all_nodes(nodes)).mask();
+        let node = (0..nodes)
+            .find(|&n| !is_member(cachers, n as u16))
+            .expect("a non-caching node");
+        let start = std::time::Instant::now();
+        let data = cluster
+            .request(node, file, Duration::from_secs(2))
+            .unwrap_or_else(|e| panic!("request {i} for {file} at node {node}: {e}"));
+        latencies.push(start.elapsed());
+        assert_eq!(data, file_contents(file, 2048), "request {i}");
+    }
+    let stats = cluster.stats();
+    assert_eq!(ServerStats::get(&stats.forwarded), u64::from(requests));
+    assert_eq!(
+        ServerStats::get(&stats.rdma_file_writes),
+        u64::from(requests)
+    );
+    latencies.sort_unstable();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < tick,
+        "median forwarded request took {median:?}: ring pickups wait for the {tick:?} tick"
+    );
     cluster.shutdown();
 }
 

@@ -33,7 +33,7 @@ use crate::descriptor::MAX_SEGMENTS;
 use crate::descriptor::{Completion, CompletionKind, Descriptor, SgList};
 use crate::error::ViaError;
 use crate::flow::MAX_DOORBELL;
-use crate::mem::{MemHandle, Region, SlabPool};
+use crate::mem::{MemHandle, Region, RemoteWriteWaker, SlabPool};
 use crate::spsc::{OwnerTag, SpscRing};
 
 /// Capacity of each VI's posted-receive ring.
@@ -450,6 +450,34 @@ impl Nic {
             .write()
             .remove(&h.0)
             .map(|_| ())
+            .ok_or(ViaError::UnknownRegion)
+    }
+
+    /// Installs `wake` as the remote-write waker of `region`: this NIC's
+    /// peers' engines call it after every RDMA write into the region
+    /// succeeds, once the bytes are visible and the region lock is
+    /// released. Failed, forbidden and dropped writes do not call it. A
+    /// later call replaces the waker. `wake` runs on the writing NIC's
+    /// engine thread, so it must be short and must not block.
+    ///
+    /// A reader that polls the region can then sleep until a write
+    /// lands: the live PRESS server wakes its main thread this way when
+    /// a file arrives in one of its rings.
+    ///
+    /// # Errors
+    ///
+    /// [`ViaError::UnknownRegion`] if `region` is not registered here.
+    pub fn on_remote_write(
+        &self,
+        region: MemHandle,
+        wake: impl Fn() + Send + Sync + 'static,
+    ) -> Result<(), ViaError> {
+        let waker: RemoteWriteWaker = Arc::new(wake);
+        self.shared
+            .regions
+            .write()
+            .get_mut(&region.0)
+            .map(|r| r.on_remote_write = Some(waker))
             .ok_or(ViaError::UnknownRegion)
     }
 
@@ -1089,7 +1117,13 @@ fn process_rdma(nic: &Arc<NicShared>, vi: u64, desc: Descriptor, remote: RemoteB
             if !dst.allow_remote_write {
                 Err(ViaError::RemoteWriteForbidden)
             } else {
-                copy_between(&src, desc.offset, &dst, remote.offset, desc.len)
+                let copied = copy_between(&src, desc.offset, &dst, remote.offset, desc.len);
+                // The region lock is released and the bytes are visible:
+                // a reader woken here sees them.
+                if let (Ok(()), Some(wake)) = (&copied, &dst.on_remote_write) {
+                    wake();
+                }
+                copied
             }
         }
         Err(e) => Err(e),
@@ -1493,5 +1527,136 @@ mod tests {
         va.post_send(Descriptor::new(m, 0, 4)).unwrap();
         assert!(vb.wait_recv_completion(T).unwrap().is_ok());
         assert_eq!(a.read_region(m, 32, 4).unwrap(), b"ping");
+    }
+
+    /// Installs a waker on `region` that counts its calls.
+    fn count_wakes(nic: &Nic, region: MemHandle) -> Arc<AtomicU64> {
+        let wakes = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&wakes);
+        nic.on_remote_write(region, move || {
+            // ordering: Relaxed — a test counter; the completion wait
+            // below orders the read.
+            counter.fetch_add(1, Ordering::Relaxed);
+        })
+        .unwrap();
+        wakes
+    }
+
+    /// Posts one RDMA write of `len` bytes from `src` into `dst` at
+    /// `offset` and returns its completion status.
+    fn rdma(
+        va: &Vi,
+        src: MemHandle,
+        len: usize,
+        dst: MemHandle,
+        offset: usize,
+    ) -> Result<(), ViaError> {
+        va.rdma_write(
+            Descriptor::new(src, 0, len),
+            RemoteBuffer {
+                region: dst,
+                offset,
+            },
+        )
+        .unwrap();
+        va.wait_send_completion(T).unwrap().status
+    }
+
+    #[test]
+    fn remote_write_waker_fires_once_per_landed_write() {
+        let (a, b, va, _vb) = pair(Reliability::ReliableDelivery);
+        let ma = a.register(vec![3; 8], false).unwrap();
+        let watched = b.register(vec![0; 32], true).unwrap();
+        let other = b.register(vec![0; 32], true).unwrap();
+        let wakes = count_wakes(&b, watched);
+        for i in 0..3 {
+            assert_eq!(rdma(&va, ma, 8, watched, 8 * i), Ok(()));
+        }
+        // ordering: Relaxed — the completions waited on above were
+        // pushed after each wake ran.
+        assert_eq!(wakes.load(Ordering::Relaxed), 3);
+        // A write into another region of the same NIC does not wake.
+        assert_eq!(rdma(&va, ma, 8, other, 0), Ok(()));
+        // ordering: Relaxed — as above.
+        assert_eq!(wakes.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn remote_write_waker_sees_the_new_bytes() {
+        let fabric = Fabric::new();
+        let a = fabric.create_nic("a");
+        let b = Arc::new(fabric.create_nic("b"));
+        let (va, _vb) = fabric
+            .connect(&a, &b, Reliability::ReliableDelivery)
+            .unwrap();
+        let ma = a.register(b"landed".to_vec(), false).unwrap();
+        let mb = b.register(vec![0; 16], true).unwrap();
+        let (tx, rx) = unbounded();
+        // A weak handle: the waker lives inside `b` and must not keep it
+        // alive.
+        let reader = Arc::downgrade(&b);
+        b.on_remote_write(mb, move || {
+            if let Some(nic) = reader.upgrade() {
+                let _ = tx.send(nic.read_region(mb, 4, 6));
+            }
+        })
+        .unwrap();
+        assert_eq!(rdma(&va, ma, 6, mb, 4), Ok(()));
+        assert_eq!(rx.recv_timeout(T).unwrap(), Ok(b"landed".to_vec()));
+    }
+
+    #[test]
+    fn remote_write_waker_skips_failed_and_dropped_writes() {
+        // Forbidden and out-of-bounds writes complete with error status.
+        let (a, b, va, _vb) = pair(Reliability::ReliableDelivery);
+        let ma = a.register(vec![1; 16], false).unwrap();
+        let closed = b.register(vec![0; 16], false).unwrap();
+        let small = b.register(vec![0; 8], true).unwrap();
+        let closed_wakes = count_wakes(&b, closed);
+        let small_wakes = count_wakes(&b, small);
+        assert_eq!(
+            rdma(&va, ma, 4, closed, 0),
+            Err(ViaError::RemoteWriteForbidden)
+        );
+        assert_eq!(rdma(&va, ma, 16, small, 0), Err(ViaError::OutOfBounds));
+        // Injected failure: the write never leaves the NIC.
+        a.set_fault(FaultConfig {
+            drop_probability: 0.0,
+            fail_probability: 1.0,
+            seed: 1,
+        });
+        assert_eq!(rdma(&va, ma, 4, small, 0), Err(ViaError::NotConnected));
+        // ordering: Relaxed — each completion was pushed after any wake.
+        assert_eq!(closed_wakes.load(Ordering::Relaxed), 0);
+        // ordering: Relaxed — as above.
+        assert_eq!(small_wakes.load(Ordering::Relaxed), 0);
+
+        // Unreliable drop: the write completes successfully but is lost.
+        let (a, b, va, _vb) = pair(Reliability::UnreliableDelivery);
+        a.set_fault(FaultConfig {
+            drop_probability: 1.0,
+            fail_probability: 0.0,
+            seed: 1,
+        });
+        let ma = a.register(vec![1; 4], false).unwrap();
+        let mb = b.register(vec![0; 4], true).unwrap();
+        let wakes = count_wakes(&b, mb);
+        assert_eq!(rdma(&va, ma, 4, mb, 0), Ok(()));
+        assert_eq!(b.read_region(mb, 0, 4).unwrap(), vec![0; 4]);
+        // ordering: Relaxed — as above.
+        assert_eq!(wakes.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn remote_write_waker_needs_a_registered_region() {
+        let fabric = Fabric::new();
+        let a = fabric.create_nic("a");
+        assert_eq!(
+            a.on_remote_write(MemHandle(999), || {}),
+            Err(ViaError::UnknownRegion)
+        );
+        let m = a.register(vec![0; 4], true).unwrap();
+        a.deregister(m).unwrap();
+        assert_eq!(a.on_remote_write(m, || {}), Err(ViaError::UnknownRegion));
     }
 }

@@ -22,12 +22,18 @@ impl std::fmt::Display for MemHandle {
     }
 }
 
+/// Callback run by a NIC engine after a remote write lands in a region.
+pub(crate) type RemoteWriteWaker = Arc<dyn Fn() + Send + Sync>;
+
 /// A registered region: shared bytes plus the remote-write permission.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct Region {
     pub bytes: Arc<RwLock<Vec<u8>>>,
     /// Whether remote NICs may RDMA-write into this region.
     pub allow_remote_write: bool,
+    /// Installed by [`crate::Nic::on_remote_write`]; run after every
+    /// successful RDMA write into this region.
+    pub on_remote_write: Option<RemoteWriteWaker>,
 }
 
 impl Region {
@@ -35,6 +41,7 @@ impl Region {
         Region {
             bytes: Arc::new(RwLock::new(data)),
             allow_remote_write,
+            on_remote_write: None,
         }
     }
 
