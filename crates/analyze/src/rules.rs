@@ -598,13 +598,13 @@ fn is_atomic_site(lines: &[Line], idx: usize) -> bool {
     false
 }
 
-/// Names declared as `HashMap`/`HashSet` in this file (let bindings,
-/// struct fields, parameters).
+/// Names declared as `HashMap`/`HashSet` (or press-sim's `IdMap` alias)
+/// in this file (let bindings, struct fields, parameters).
 fn collect_hash_names(lines: &[Line]) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     for line in lines {
         let code = line.code.as_str();
-        for ty in ["HashMap", "HashSet"] {
+        for ty in ["HashMap", "HashSet", "IdMap"] {
             // `name: HashMap<...>` — fields, params, typed lets.
             let mut from = 0;
             while let Some(rel) = code[from..].find(ty) {

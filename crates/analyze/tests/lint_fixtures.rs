@@ -78,6 +78,17 @@ fn hash_iter_fixture_exact_diagnostics() {
 }
 
 #[test]
+fn hash_iter_covers_the_id_map_alias() {
+    let f = fixture("hash_iter_idmap.rs", "crates/core/src/fixture.rs");
+    let report = lint_files(&[f], &Manifest::empty());
+    assert_eq!(
+        triples(&report),
+        vec![("crates/core/src/fixture.rs".into(), 9, "hash-iter")],
+        "an IdMap field iterates in hash order like any HashMap"
+    );
+}
+
+#[test]
 fn hot_unwrap_fixture_exact_diagnostics_and_test_exemption() {
     let f = fixture("hot_unwrap.rs", "crates/server/src/node.rs");
     let report = lint_files(&[f], &Manifest::empty());

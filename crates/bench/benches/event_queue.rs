@@ -1,10 +1,20 @@
 //! Criterion benchmarks for the event-queue fast path.
 //!
-//! The `Scheduler` replaced a `BinaryHeap<Reverse<Pending>>` with a 4-ary
-//! min-heap over packed `(time << 64) | seq` keys stored apart from the
-//! event payloads. `HeapRef` below reimplements the old structure so the
-//! two can be compared on identical workloads: the new scheduler must be
-//! at least as fast on every shape.
+//! The `Scheduler` is a monotone radix heap: packed `time << 64 | seq <<
+//! 24 | slot` keys sit in 129 buckets by their highest bit differing from
+//! the last popped key, and event payloads stay put in a slab. `HeapRef`
+//! below is a plain `BinaryHeap<Reverse<..>>` carrying its payloads, the
+//! textbook structure, so the two can be compared on identical workloads:
+//!
+//! - `fill_drain` and `hold_64k_ops`: uniform-random times, where a radix
+//!   queue and a heap are close.
+//! - `sim_hold`: the shape the simulator drives. A steady queue of
+//!   64-byte events, as deep as `sim-paper` (512) or `sim-scale` (8192),
+//!   where each pop schedules a follow-up 1–100 µs later in whole µs,
+//!   and one in eight lands at `now`. Ties are common.
+//!
+//! Run `cargo bench -p press-bench --bench event_queue`; add `-- --test`
+//! for a one-iteration smoke run.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -12,8 +22,8 @@ use std::collections::BinaryHeap;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use press_sim::{Model, Scheduler, SimTime, Simulator};
 
-/// The pre-optimization scheduler: a binary max-heap of reversed entries,
-/// each carrying its payload and an explicit tie-break sequence number.
+/// The reference queue: a binary max-heap of reversed entries, each
+/// carrying its payload and an explicit tie-break sequence number.
 struct HeapRef<E> {
     heap: BinaryHeap<Reverse<(u64, u64, WithOrd<E>)>>,
     next_seq: u64,
@@ -108,9 +118,8 @@ fn bench_fill_drain(c: &mut Criterion) {
     group.finish();
 }
 
-/// Hold pattern: steady-state queue of fixed size, pop one / push one —
-/// the shape the simulator actually drives (queue depth ~ active
-/// requests, each event schedules a follow-up).
+/// Hold pattern: steady-state queue of fixed size, pop one / push one,
+/// with follow-ups 1–997 ns ahead.
 fn bench_hold(c: &mut Criterion) {
     let mut group = c.benchmark_group("hold_64k_ops");
     const DEPTH: usize = 4_096;
@@ -148,6 +157,64 @@ fn bench_hold(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 64-byte payload, the size of the simulator's `Event`.
+type Payload = [u64; 8];
+
+/// The follow-up offset in ns for draw `r`: one in eight is a tie at
+/// `now`, the rest are 1–100 µs in whole µs.
+fn sim_offset(r: u64) -> u64 {
+    if r % 8 == 0 {
+        0
+    } else {
+        1_000 * (1 + (r >> 3) % 100)
+    }
+}
+
+/// Hold pattern shaped like the simulator's traffic, at the pending
+/// depths of the two simulator workloads.
+fn bench_sim_hold(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sim_hold_64k_ops");
+    const OPS: usize = 65_536;
+    for depth in [512usize, 8_192] {
+        let draws = times(OPS);
+        group.bench_with_input(BenchmarkId::new("scheduler", depth), &draws, |b, draws| {
+            b.iter(|| {
+                let mut s: Scheduler<Payload> = Scheduler::new();
+                for (i, &t) in times(depth).iter().enumerate() {
+                    s.schedule(SimTime::from_nanos(t % 100_000), [i as u64; 8]);
+                }
+                let mut sum = 0u64;
+                for &r in draws {
+                    let (t, e) = s.pop().expect("queue never drains");
+                    sum = sum.wrapping_add(e[0]);
+                    s.schedule(t + SimTime::from_nanos(sim_offset(r)), e);
+                }
+                black_box(sum)
+            })
+        });
+        group.bench_with_input(
+            BenchmarkId::new("binaryheap_ref", depth),
+            &draws,
+            |b, draws| {
+                b.iter(|| {
+                    let mut s: HeapRef<Payload> = HeapRef::new();
+                    for (i, &t) in times(depth).iter().enumerate() {
+                        s.schedule(SimTime::from_nanos(t % 100_000), [i as u64; 8]);
+                    }
+                    let mut sum = 0u64;
+                    for &r in draws {
+                        let (t, e) = s.pop().expect("queue never drains");
+                        sum = sum.wrapping_add(e[0]);
+                        s.schedule(t + SimTime::from_nanos(sim_offset(r)), e);
+                    }
+                    black_box(sum)
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 /// A self-rescheduling model through the full Simulator, as a smoke-level
 /// end-to-end number for the engine.
 struct Ticker {
@@ -175,5 +242,11 @@ fn bench_simulator(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_fill_drain, bench_hold, bench_simulator);
+criterion_group!(
+    benches,
+    bench_fill_drain,
+    bench_hold,
+    bench_sim_hold,
+    bench_simulator
+);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Byte-capacity LRU file cache.
 
-use std::collections::HashMap;
-
+use press_sim::IdMap;
 use press_trace::FileId;
 
 /// Slab index of a cache entry; `usize::MAX` is the null link.
@@ -44,7 +43,7 @@ struct Entry {
 pub struct FileCache {
     capacity: u64,
     used: u64,
-    map: HashMap<FileId, Link>,
+    map: IdMap<FileId, Link>,
     slab: Vec<Entry>,
     free: Vec<Link>,
     head: Link, // most recently used
@@ -61,7 +60,7 @@ impl FileCache {
         FileCache {
             capacity: capacity_bytes,
             used: 0,
-            map: HashMap::new(),
+            map: IdMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -66,6 +66,12 @@ pub struct SimConfig {
     pub scenario: ScenarioPlan,
 }
 
+/// Most closed-loop clients a run may have, over all nodes.
+///
+/// The event queue holds at most 2²⁴ pending events, and each client
+/// keeps a few in flight; 2²⁰ clients leaves sixteen each.
+pub(crate) const MAX_CLIENTS: usize = 1 << 20;
+
 /// Why a [`SimConfig`] cannot run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
@@ -76,6 +82,8 @@ pub enum ConfigError {
     TooManyNodes(usize),
     /// No closed-loop clients.
     NoClients,
+    /// More clients in all than [`MAX_CLIENTS`].
+    TooManyClients(usize),
     /// Nothing to measure.
     NoMeasuredRequests,
 }
@@ -90,6 +98,9 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "{n} nodes: at most {MAX_NODES} nodes are supported")
             }
             ConfigError::NoClients => f.write_str("no clients: at least one per node is needed"),
+            ConfigError::TooManyClients(n) => {
+                write!(f, "{n} clients: at most {MAX_CLIENTS} in all are supported")
+            }
             ConfigError::NoMeasuredRequests => {
                 f.write_str("0 measured requests: nothing to measure")
             }
@@ -202,12 +213,15 @@ impl SimConfig {
     ///
     /// The first [`ConfigError`] the configuration violates.
     pub fn validate(&self) -> Result<(), ConfigError> {
+        let clients = self.clients_per_node.saturating_mul(self.nodes);
         if self.nodes < 2 {
             Err(ConfigError::TooFewNodes(self.nodes))
         } else if self.nodes > MAX_NODES {
             Err(ConfigError::TooManyNodes(self.nodes))
         } else if self.clients_per_node == 0 {
             Err(ConfigError::NoClients)
+        } else if clients > MAX_CLIENTS {
+            Err(ConfigError::TooManyClients(clients))
         } else if self.measure_requests == 0 {
             Err(ConfigError::NoMeasuredRequests)
         } else {
@@ -530,6 +544,11 @@ mod tests {
         cfg.nodes = 4;
         cfg.clients_per_node = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::NoClients));
+        cfg.clients_per_node = MAX_CLIENTS / 4 + 1;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::TooManyClients(MAX_CLIENTS + 4))
+        );
         cfg.clients_per_node = 1;
         cfg.measure_requests = 0;
         assert_eq!(cfg.validate(), Err(ConfigError::NoMeasuredRequests));

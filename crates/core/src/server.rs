@@ -8,7 +8,7 @@
 //! demands (the fixed send/receive costs include the thread hand-offs) on
 //! a single CPU resource per node, plus disk and NIC resources.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use press_cluster::{CpuCategory, FileCache, Node, NodeId, ServiceRates};
@@ -17,7 +17,7 @@ use press_net::{
     fastpath_recv_cost, fastpath_send_cost, recv_cost, send_cost, wire_bytes, CostModel,
     DeliveryMode, EndpointCost, MessageType, MsgCounters, FILE_SEGMENT_BYTES,
 };
-use press_sim::{FaultInjector, FaultPlan, Histogram, MeanVar, Model, Scheduler, SimTime};
+use press_sim::{FaultInjector, FaultPlan, Histogram, IdMap, MeanVar, Model, Scheduler, SimTime};
 use press_telem::{lane, EventKind, FlightRecorder, Trace, TraceBuffer, TraceEvent};
 use press_trace::{FileCatalog, FileId, RequestLog, ScenarioOp, ScenarioPlan, Workload};
 use rand::rngs::StdRng;
@@ -244,7 +244,7 @@ pub struct ClusterSim {
     load_views: Vec<Vec<u32>>,
     last_broadcast: Vec<u32>,
     channels: Vec<Channel>,
-    requests: HashMap<u64, Request>,
+    requests: IdMap<u64, Request>,
     next_req: u64,
     cpu_inflation: f64,
     /// Sampling stream for the sparse dissemination strategies. Separate
@@ -355,7 +355,7 @@ impl ClusterSim {
             load_views: vec![vec![0; n]; n],
             last_broadcast: vec![0; n],
             channels: (0..n * n).map(|_| Channel::new_with_window()).collect(),
-            requests: HashMap::new(),
+            requests: IdMap::default(),
             next_req: 1,
             cpu_inflation,
             collect_rng: DetRng::new(seed ^ COLLECT_SEED_XOR),
@@ -1686,7 +1686,7 @@ impl ClusterSim {
         // lost; their closed-loop clients reconnect elsewhere. Requests
         // merely *serviced* by the dead node stay alive — their retry
         // timers re-route them. Sorted iteration keeps same-seed runs
-        // byte-identical (HashMap order is process-random).
+        // byte-identical whatever the map's hash order.
         let mut doomed: Vec<u64> = self
             .requests
             // press::allow(hash-iter): sorted below before any effect.

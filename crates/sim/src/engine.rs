@@ -16,12 +16,15 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Fan-out of the pending-event heap.
-///
-/// A 4-ary heap is shallower than a binary one (fewer sift levels per
-/// pop) and its four child keys share a cache line, which is where a
-/// discrete-event simulator spends its queue time.
-const ARITY: usize = 4;
+/// Low key bits holding the event's slot in the slab.
+const SLOT_BITS: u32 = 24;
+/// Key bits holding the scheduling sequence number, above the slot.
+const SEQ_BITS: u32 = 40;
+/// At most this many events may be pending at once (slots are 24 bits).
+const MAX_PENDING: usize = 1 << SLOT_BITS;
+/// One bucket per bit position of a 128-bit key, plus bucket 0 for a key
+/// equal to the last popped one (only a first key of 0 can be).
+const BUCKETS: usize = 129;
 
 /// The event queue handed to [`Model::handle`] for scheduling future events.
 ///
@@ -29,25 +32,40 @@ const ARITY: usize = 4;
 /// engine borrows the model mutably while the model schedules), but
 /// [`Scheduler::pop`] is public for standalone use and benchmarking.
 ///
-/// Internally this is an implicit 4-ary min-heap in structure-of-arrays
-/// form: `keys[i]` packs `(time, seq)` of `events[i]` into one `u128`
-/// (`time` in the high 64 bits, a monotonic sequence number in the low 64),
-/// so heap ordering is a single integer comparison and sift loops scan
-/// contiguous keys without touching event payloads. `seq` breaks ties
-/// between events scheduled for the same instant: events fire in the order
-/// they were scheduled, which makes runs reproducible.
+/// Internally this is a monotone radix heap (Ahuja, Mehlhorn, Orlin and
+/// Tarjan, 1990) over `u128` keys packed as `time << 64 | seq << 24 |
+/// slot`:
+///
+/// - `time` is the firing time in ns. `seq` is a 40-bit sequence number
+///   that breaks ties between events scheduled for the same instant, so
+///   they fire in scheduling order and runs are reproducible.
+/// - `slot` indexes a slab of event payloads. A payload is written into
+///   its slot once, by [`Scheduler::schedule`], and taken out once, by
+///   [`Scheduler::pop`]; only the 16-byte keys move between buckets.
+/// - A key lives in bucket `128 - (key ^ last).leading_zeros()`, where
+///   `last` is the last popped key: one more than the position of the
+///   highest bit in which the two differ. `pop` takes the least key of
+///   the lowest non-empty bucket and re-buckets the rest of that bucket,
+///   each into a lower one, so a key moves down at most 128 times in all.
+///
+/// The queue is monotone: an event may not be scheduled before the last
+/// popped one, and at most 2²⁴ events may be pending at once. Both are
+/// checked on [`Scheduler::schedule`].
 pub struct Scheduler<E> {
-    /// Heap-ordered packed `(time << 64) | seq` keys, parallel to `events`.
-    keys: Vec<u128>,
-    /// Event payloads; `events[i]` belongs to `keys[i]`.
-    events: Vec<E>,
+    /// Pending keys, bucketed by their highest bit differing from `last`.
+    buckets: [Vec<u128>; BUCKETS],
+    /// Bit `b` is set iff `buckets[b]` is non-empty, for `b < 128`.
+    /// Bucket 128 (the top bit of `time` differs) has no bit: it is the
+    /// one left when the mask is clear and keys are pending.
+    occupied: u128,
+    /// The last popped key; no pending key is less.
+    last: u128,
+    /// Event payloads by slot; `None` marks a free slot.
+    slots: Vec<Option<E>>,
+    /// Free slots, reused before the slab grows.
+    free: Vec<u32>,
     /// Sequence number for the next schedule, and the all-time total.
     next_seq: u64,
-}
-
-#[inline]
-fn pack(at: SimTime, seq: u64) -> u128 {
-    ((at.as_nanos() as u128) << 64) | seq as u128
 }
 
 #[inline]
@@ -55,10 +73,16 @@ fn unpack_time(key: u128) -> SimTime {
     SimTime::from_nanos((key >> 64) as u64)
 }
 
+/// The bucket of `key` relative to the last popped key.
+#[inline]
+fn bucket_of(key: u128, last: u128) -> usize {
+    128 - (key ^ last).leading_zeros() as usize
+}
+
 impl<E> std::fmt::Debug for Scheduler<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("pending", &self.keys.len())
+            .field("pending", &self.pending())
             .field("total_scheduled", &self.next_seq)
             .finish()
     }
@@ -74,8 +98,11 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler.
     pub fn new() -> Self {
         Scheduler {
-            keys: Vec::new(),
-            events: Vec::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -83,17 +110,39 @@ impl<E> Scheduler<E> {
     /// Schedules `event` to fire at absolute time `at`.
     ///
     /// Events scheduled for the same instant fire in scheduling order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the last popped event (a model bug), if
+    /// 2²⁴ events are already pending, or after 2⁴⁰ schedules in all.
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let seq = self.next_seq;
+        assert!(seq < 1 << SEQ_BITS, "more than 2^40 events scheduled");
+        // Checked before the slot is known: at an equal time the larger
+        // `seq` already puts the key above `last`, whatever the slot.
+        let key = (u128::from(at.as_nanos()) << 64) | (u128::from(seq) << SLOT_BITS);
+        assert!(key >= self.last, "event scheduled in the past");
         self.next_seq += 1;
-        self.keys.push(pack(at, seq));
-        self.events.push(event);
-        self.sift_up(self.keys.len() - 1);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                assert!(
+                    self.slots.len() < MAX_PENDING,
+                    "more than 2^24 events pending at once"
+                );
+                self.slots.push(Some(event));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.push_key(key | u128::from(slot));
     }
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.keys.len()
+        self.slots.len() - self.free.len()
     }
 
     /// Total number of events ever scheduled.
@@ -107,70 +156,70 @@ impl<E> Scheduler<E> {
     ///
     /// Ties on time come out in scheduling order.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.keys.is_empty() {
-            return None;
+        let b = self.first_bucket()?;
+        let mut bucket = std::mem::take(&mut self.buckets[b]);
+        let (i, key) = min_key(&bucket);
+        bucket.swap_remove(i);
+        self.last = key;
+        self.occupied &= !bit(b);
+        // Every other key of the bucket agrees with the new `last` on bit
+        // `b - 1` and every bit above it, so it lands in a lower bucket;
+        // the keys of higher buckets keep theirs.
+        for &k in &bucket {
+            self.push_key(k);
         }
-        let last = self.keys.len() - 1;
-        self.keys.swap(0, last);
-        self.events.swap(0, last);
-        let key = self.keys.pop().expect("checked non-empty");
-        let event = self.events.pop().expect("keys and events stay parallel");
-        if !self.keys.is_empty() {
-            self.sift_down(0);
-        }
+        bucket.clear();
+        self.buckets[b] = bucket;
+        let slot = (key as u32 & (MAX_PENDING as u32 - 1)) as usize;
+        let event = self.slots[slot]
+            .take()
+            .expect("a pending key owns its slot");
+        self.free.push(slot as u32);
         Some((unpack_time(key), event))
     }
 
+    /// The time of the earliest pending event, without removing it.
     fn peek_time(&self) -> Option<SimTime> {
-        self.keys.first().map(|&k| unpack_time(k))
+        let b = self.first_bucket()?;
+        Some(unpack_time(min_key(&self.buckets[b]).1))
     }
 
-    // Both sift loops treat the starting slot as a hole: the sifted key is
-    // held in a register and written exactly once at its final position,
-    // halving key traffic versus swapping at every level.
+    #[inline]
+    fn push_key(&mut self, key: u128) {
+        let b = bucket_of(key, self.last);
+        self.buckets[b].push(key);
+        self.occupied |= bit(b);
+    }
 
-    fn sift_up(&mut self, mut i: usize) {
-        let key = self.keys[i];
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            let parent_key = self.keys[parent];
-            if parent_key <= key {
-                break;
-            }
-            self.keys[i] = parent_key;
-            self.events.swap(parent, i);
-            i = parent;
+    /// The lowest non-empty bucket, if any event is pending.
+    #[inline]
+    fn first_bucket(&self) -> Option<usize> {
+        if self.occupied != 0 {
+            Some(self.occupied.trailing_zeros() as usize)
+        } else if !self.buckets[BUCKETS - 1].is_empty() {
+            Some(BUCKETS - 1)
+        } else {
+            None
         }
-        self.keys[i] = key;
     }
+}
 
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.keys.len();
-        let key = self.keys[i];
-        loop {
-            let first_child = i * ARITY + 1;
-            if first_child >= len {
-                break;
-            }
-            let last_child = (first_child + ARITY).min(len);
-            let mut min = first_child;
-            let mut min_key = self.keys[first_child];
-            for c in first_child + 1..last_child {
-                let k = self.keys[c];
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if key <= min_key {
-                break;
-            }
-            self.keys[i] = min_key;
-            self.events.swap(i, min);
-            i = min;
+/// The mask bit of bucket `b`; bucket 128 has none.
+#[inline]
+fn bit(b: usize) -> u128 {
+    1u128.checked_shl(b as u32).unwrap_or(0)
+}
+
+/// Index and value of the least key in a non-empty bucket.
+#[inline]
+fn min_key(bucket: &[u128]) -> (usize, u128) {
+    let mut best = (0, bucket[0]);
+    for (i, &k) in bucket.iter().enumerate().skip(1) {
+        if k < best.1 {
+            best = (i, k);
         }
-        self.keys[i] = key;
     }
+    best
 }
 
 /// The simulation engine: owns the model, the clock, and the event queue.
@@ -231,13 +280,11 @@ impl<M: Model> Simulator<M> {
 
     /// Runs one event. Returns `false` if the queue was empty.
     ///
-    /// # Panics
-    ///
-    /// Panics if an event is scheduled in the past (a model bug).
+    /// The handler's [`Scheduler::schedule`] panics if it schedules an
+    /// event in the past (a model bug).
     pub fn step(&mut self) -> bool {
         match self.sched.pop() {
             Some((at, event)) => {
-                assert!(at >= self.now, "event scheduled in the past");
                 self.now = at;
                 self.processed += 1;
                 self.model.handle(at, event, &mut self.sched);
@@ -344,6 +391,8 @@ mod tests {
         assert_eq!(sim.now(), SimTime::ZERO);
     }
 
+    /// A handler that schedules before the event it is handling panics
+    /// in `schedule` itself, not later when the event would be popped.
     #[test]
     #[should_panic(expected = "past")]
     fn scheduling_in_the_past_panics() {
@@ -356,8 +405,104 @@ mod tests {
         }
         let mut sim = Simulator::new(Bad);
         sim.scheduler_mut().schedule(SimTime::from_nanos(10), ());
-        // First event at t=10 schedules one at t=0 -> panic on processing.
+        // The event at t=10 schedules one at t=0: `schedule` panics.
         sim.step();
-        sim.step();
+    }
+
+    #[test]
+    #[should_panic(expected = "past")]
+    fn scheduling_before_the_last_pop_panics() {
+        let mut s: Scheduler<()> = Scheduler::new();
+        s.schedule(SimTime::from_nanos(10), ());
+        assert_eq!(s.pop().map(|(t, _)| t), Some(SimTime::from_nanos(10)));
+        // A tie with the popped event is fine; one ns earlier is not.
+        s.schedule(SimTime::from_nanos(10), ());
+        s.schedule(SimTime::from_nanos(9), ());
+    }
+
+    #[test]
+    fn run_until_deadline_inside_a_rebucketed_bucket() {
+        let mut sim = Simulator::new(Recorder::default());
+        // 1000..=1010 share their top set bit (512), so they start in one
+        // bucket; 2000 sits in the next. Popping 1000 re-buckets the rest
+        // by their low bits, and the deadline falls among them.
+        for t in (1000..=1010).chain([2000]) {
+            sim.scheduler_mut()
+                .schedule(SimTime::from_nanos(t), t as u32);
+        }
+        sim.run_until(SimTime::from_nanos(1005));
+        let seen: Vec<u64> = sim.model().seen.iter().map(|&(t, _)| t).collect();
+        assert_eq!(seen, (1000..=1005).collect::<Vec<_>>());
+        assert_eq!(sim.now(), SimTime::from_nanos(1005));
+        assert_eq!(sim.scheduler_mut().pending(), 6);
+        // Peeking at 1006 did not move the floor: events between the clock
+        // and the next pending one may still be scheduled.
+        sim.scheduler_mut().schedule(SimTime::from_nanos(1005), 1);
+        sim.scheduler_mut().schedule(SimTime::from_nanos(1006), 2);
+        sim.run();
+        let tail: Vec<(u64, u32)> = sim.model().seen[6..].to_vec();
+        let mut want = vec![(1005, 1), (1006, 1006), (1006, 2)];
+        want.extend((1007..=1010).map(|t| (t, t as u32)));
+        want.push((2000, 2000));
+        assert_eq!(tail, want);
+    }
+
+    /// Times with the top bit set land in bucket 128, which has no mask
+    /// bit; a first key of 0 lands in bucket 0.
+    #[test]
+    fn extreme_buckets_pop_in_order() {
+        let mut s: Scheduler<u32> = Scheduler::new();
+        let top = 1u64 << 63;
+        for (t, e) in [(top + 7, 0), (top, 1), (0, 2), (u64::MAX, 3), (top, 4)] {
+            s.schedule(SimTime::from_nanos(t), e);
+        }
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| s.pop())
+            .map(|(t, e)| (t.as_nanos(), e))
+            .collect();
+        assert_eq!(
+            order,
+            vec![(0, 2), (top, 1), (top, 4), (top + 7, 0), (u64::MAX, 3)]
+        );
+        assert_eq!(s.pending(), 0);
+    }
+
+    /// Popped slots are reused: a long hold phase never grows the slab
+    /// past the most events ever pending at once.
+    #[test]
+    fn hold_phase_reuses_slots() {
+        let mut s: Scheduler<u64> = Scheduler::new();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut peak = 0;
+        for i in 0..500 {
+            s.schedule(SimTime::from_nanos(rand() % 1_000), i);
+            peak = peak.max(s.pending());
+        }
+        for i in 0..100_000u64 {
+            let (t, _) = s.pop().expect("never drains");
+            // Mostly one follow-up per pop, sometimes zero or two, so the
+            // depth wanders around its start without draining.
+            let follow_ups = match rand() % 8 {
+                0 if s.pending() > 0 => 0,
+                1 => 2,
+                _ => 1,
+            };
+            for _ in 0..follow_ups {
+                s.schedule(t + SimTime::from_nanos(1 + rand() % 100_000), i);
+            }
+            peak = peak.max(s.pending());
+            assert!(
+                s.slots.len() <= peak,
+                "slab {} > peak {peak}",
+                s.slots.len()
+            );
+        }
+        assert_eq!(s.slots.len(), peak);
+        assert_eq!(s.free.len() + s.pending(), s.slots.len());
     }
 }

@@ -31,12 +31,14 @@
 
 mod engine;
 mod fault;
+mod idmap;
 mod resource;
 mod stats;
 mod time;
 
 pub use engine::{Model, Scheduler, Simulator};
 pub use fault::{decorrelated_jitter_micros, CrashWindow, FaultInjector, FaultPlan};
+pub use idmap::{IdHasher, IdMap};
 // Scalar statistics moved to press-telem (the unified observability
 // crate); re-exported so `press_sim::Histogram` etc. keep working.
 pub use press_telem::{Counter, Histogram, MeanVar};

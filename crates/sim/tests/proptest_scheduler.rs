@@ -1,10 +1,36 @@
 //! Property tests pinning the scheduler's ordering contract: events drain
 //! in (time, scheduling-order) order, exactly matching a stable sort by
-//! time — no matter how adversarial the insertion pattern.
+//! time — no matter how adversarial the insertion pattern — and a
+//! differential test against a `BinaryHeap` reference under interleaved
+//! schedule/pop traffic whose offsets reach every radix bucket level.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use press_sim::{Model, Scheduler, SimTime, Simulator};
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// A follow-up offset in ns at one of five scales, picked by `scale`: a
+/// tie at `now`, 1–100 ns, up to 1 ms in µs steps, anything up to 2⁴⁰
+/// ns, or a small offset that makes ties with other follow-ups likely.
+fn offset(scale: u8, raw: u64) -> u64 {
+    match scale {
+        0 => 0,
+        1 => 1 + raw % 100,
+        2 => 1_000 * (1 + raw % 1_000),
+        3 => raw % (1 << 40),
+        _ => raw % 4,
+    }
+}
+
+/// The steps of a differential run, each `(op, scale, raw)`: `op < 3`
+/// schedules one event at `now + offset(scale, raw)`, and any other `op`
+/// pops one. Schedules outnumber pops, so queues grow and buckets fill
+/// before they drain.
+fn ops() -> impl Strategy<Value = Vec<(u8, u8, u64)>> {
+    vec((0u8..5, 0u8..5, 0u64..u64::MAX), 1..400)
+}
 
 /// Records `(fire_time, payload)` for every event it sees, optionally
 /// chaining one follow-up per event to exercise interleaved push/pop.
@@ -110,5 +136,54 @@ proptest! {
             prop_assert_eq!(sim.scheduler_mut().pending(), times.len());
         }
         prop_assert_eq!(sim.scheduler_mut().total_scheduled(), times.len() as u64);
+    }
+
+    /// The scheduler and a `BinaryHeap<Reverse<(time, seq)>>` reference
+    /// agree on every pop, on `pending()` and on `total_scheduled()`,
+    /// under interleaved schedule/pop traffic. Follow-ups land at `now`
+    /// (the last popped time) plus an offset of any scale, so keys differ
+    /// from the last popped key first at bits all through the
+    /// sequence-number field and the low 41 bits of the time field.
+    #[test]
+    fn matches_binary_heap_reference(steps in ops()) {
+        let mut sched: Scheduler<u64> = Scheduler::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        for &(op, scale, raw) in &steps {
+            if op < 3 {
+                let at = now + offset(scale, raw);
+                sched.schedule(SimTime::from_nanos(at), seq);
+                reference.push(Reverse((at, seq)));
+                seq += 1;
+            } else {
+                let got = sched.pop().map(|(t, e)| (t.as_nanos(), e));
+                let want = reference.pop().map(|Reverse(p)| p);
+                prop_assert_eq!(got, want);
+                if let Some((t, _)) = got {
+                    now = t;
+                }
+            }
+            prop_assert_eq!(sched.pending(), reference.len());
+            prop_assert_eq!(sched.total_scheduled(), seq);
+        }
+        // Drain both, still scheduling a tie and a near follow-up per pop
+        // so the tail also mixes pushes into re-bucketed levels.
+        let mut budget = steps.len();
+        while let Some(Reverse(want)) = reference.pop() {
+            let got = sched.pop().map(|(t, e)| (t.as_nanos(), e));
+            prop_assert_eq!(got, Some(want));
+            if budget > 0 {
+                budget -= 1;
+                for at in [want.0, want.0 + offset(1, want.1)] {
+                    sched.schedule(SimTime::from_nanos(at), seq);
+                    reference.push(Reverse((at, seq)));
+                    seq += 1;
+                }
+            }
+        }
+        prop_assert!(sched.pop().is_none());
+        prop_assert_eq!(sched.pending(), 0);
+        prop_assert_eq!(sched.total_scheduled(), seq);
     }
 }

@@ -32,6 +32,7 @@ USAGE:
         --version  v0..v6                        (default v0)
         --strategy pb|l1|l4|l16|nlb|t1|t4|t16|p2c|sp4  (default pb)
         --nodes    N                             (default 8)
+        --clients  closed-loop clients per node  (default 40)
         --measure  requests                      (default 60000)
         --warmup   requests                      (default 20000)
         --seed     u64                           (default 12648430)
@@ -175,8 +176,8 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         let flags = parse_flags(
             args,
             &[
-                "trace", "replay", "combo", "version", "strategy", "nodes", "measure", "warmup",
-                "seed",
+                "trace", "replay", "combo", "version", "strategy", "nodes", "clients", "measure",
+                "warmup", "seed",
             ],
         )?;
         let preset = parse_preset(flags.get("trace").map(String::as_str))?;
@@ -191,6 +192,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
         cfg.dissemination =
             parse_strategy(flags.get("strategy").map(String::as_str).unwrap_or("pb"))?;
         cfg.nodes = parse(&flags, "nodes", 8usize)?;
+        cfg.clients_per_node = parse(&flags, "clients", cfg.clients_per_node)?;
         cfg.measure_requests = parse(&flags, "measure", 60_000u64)?;
         cfg.warmup_requests = parse(&flags, "warmup", 20_000u64)?;
         cfg.seed = parse(&flags, "seed", cfg.seed)?;

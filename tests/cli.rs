@@ -2,6 +2,8 @@
 
 use std::process::Command;
 
+use proptest::prelude::*;
+
 fn press() -> Command {
     Command::new(env!("CARGO_BIN_EXE_press"))
 }
@@ -164,6 +166,7 @@ fn simulate_rejects_invalid_configs() {
     for (args, needle) in [
         (["--nodes", "129"], "at most 128 nodes"),
         (["--nodes", "1"], "at least two nodes"),
+        (["--clients", "200000"], "at most 1048576 in all"),
         (["--measure", "0"], "nothing to measure"),
     ] {
         let out = press()
@@ -307,5 +310,60 @@ fn simulate_accepts_collect_strategies() {
             "strategy {s}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+    }
+}
+
+const STRATEGIES: [&str; 11] = [
+    "pb", "l1", "l4", "l16", "nlb", "t1", "t4", "t16", "p2c", "sp4", "bogus",
+];
+const VERSIONS: [&str; 8] = ["v0", "v1", "v2", "v3", "v4", "v5", "v6", "v9"];
+
+/// `raw`, or for one draw in four an edge value picked by `raw`, so the
+/// limits are hit far more often than a uniform draw would hit them.
+fn edgy(draw: (u8, u64), edges: &[u64]) -> String {
+    match draw {
+        (0, raw) => edges[raw as usize % edges.len()],
+        (_, raw) => raw,
+    }
+    .to_string()
+}
+
+proptest! {
+    // Each case spawns the binary, so keep the count small.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Any bounded `press simulate` argument vector either runs (exit 0)
+    /// or fails with exit 1 and an `error:` line. It never panics.
+    #[test]
+    fn simulate_never_panics(
+        nodes in (0u8..4, 0u64..131),
+        clients in 0u64..5,
+        warmup in (0u8..4, 0u64..201),
+        measure in (0u8..4, 0u64..201),
+        picks in (0usize..STRATEGIES.len(), 0usize..VERSIONS.len()),
+    ) {
+        let nodes = edgy(nodes, &[0, 1, 2, 128, 129, 130]);
+        let clients = clients.to_string();
+        let warmup = edgy(warmup, &[0, 1, 200]);
+        let measure = edgy(measure, &[0, 1, 200]);
+        let args = [
+            "simulate",
+            "--nodes", &nodes,
+            "--clients", &clients,
+            "--warmup", &warmup,
+            "--measure", &measure,
+            "--strategy", STRATEGIES[picks.0],
+            "--version", VERSIONS[picks.1],
+        ];
+        let out = press().args(args).output().expect("run press");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        prop_assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        if !out.status.success() {
+            prop_assert!(out.status.code() == Some(1), "{args:?}: {stderr}");
+            prop_assert!(
+                stderr.lines().any(|l| l.starts_with("error:")),
+                "{args:?}: {stderr}"
+            );
+        }
     }
 }
