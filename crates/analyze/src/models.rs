@@ -16,10 +16,10 @@
 //!   view, mirroring `crates/server/src/membership.rs`;
 //! * [`CrashRecoverModel`] — crash/recover races on one node: the epoch
 //!   must count exactly the transitions that changed the bitmask;
-//! * [`CreditRepairModel`] — the send-loop's credit accounting under
-//!   `ResetPeer` repair racing a stale credit return, mirroring
-//!   `SendJob::Credits`/`SendJob::ResetPeer` in
-//!   `crates/server/src/node.rs`;
+//! * [`CreditRepairModel`] — credit accounting under `ResetPeer` repair
+//!   racing a stale credit return, mirroring the clamp in
+//!   `CreditWindow::grant` (`crates/via/src/flow.rs`) that the live send
+//!   loop applies on `SendJob::Credits`/`SendJob::ResetPeer`;
 //! * [`BatchPoolModel`] — `ExperimentRunner`'s shared-index job claiming
 //!   in `crates/core/src/batch.rs`: every slot filled exactly once;
 //! * [`SendRingModel`] — the V6 fast path's SPSC send ring with credit
@@ -242,7 +242,8 @@ impl Model for CrashRecoverModel {
 /// The send-loop's per-peer credit counter under repair.
 ///
 /// Mirrors the arrival-order race in `crates/server/src/node.rs`: the
-/// send loop applies `SendJob` messages one at a time, so every
+/// send loop applies `SendJob` messages one at a time to each peer's
+/// `CreditWindow` (`crates/via/src/flow.rs`), so every
 /// interleaving of a stale `Credits` return (from traffic consumed
 /// before the peer crashed) with the `ResetPeer` repair and further
 /// consumption is a possible arrival order. The window invariant — at
@@ -253,7 +254,10 @@ impl Model for CrashRecoverModel {
 /// With `clamped = false` (the pre-audit code: `credits += n`) the
 /// checker finds the overflow: reset restores a full window, then the
 /// stale return pushes credits past it. With `clamped = true` (the
-/// shipped fix) every arrival order keeps the invariant.
+/// shipped fix, `CreditWindow::grant`'s `min(window)`) every arrival
+/// order keeps the invariant. The window's property test
+/// (`crates/via/tests/proptest_flow.rs`) checks the same bound on the
+/// type itself.
 pub struct CreditRepairModel {
     clamped: bool,
     credits: Loc,

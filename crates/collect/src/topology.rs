@@ -114,6 +114,21 @@ impl IntoIterator for Children {
     }
 }
 
+/// Collects ids in the order given.
+///
+/// # Panics
+///
+/// Panics past [`MAX_NODES`] ids.
+impl FromIterator<u16> for Children {
+    fn from_iter<I: IntoIterator<Item = u16>>(iter: I) -> Children {
+        let mut out = Children::EMPTY;
+        for v in iter {
+            out.put(v);
+        }
+        out
+    }
+}
+
 impl<'a> IntoIterator for &'a Children {
     type Item = &'a u16;
     type IntoIter = std::slice::Iter<'a, u16>;

@@ -21,6 +21,7 @@ use std::ops::Deref;
 
 use press_cluster::NodeId;
 pub use press_collect::MAX_NODES;
+use press_collect::{select_topology, Children, TreeView};
 use press_trace::{FileCatalog, FileId};
 
 use crate::overload::{CircuitBreaker, OverloadConfig};
@@ -93,6 +94,29 @@ impl Deref for NodeList {
     type Target = [NodeId];
     fn deref(&self) -> &[NodeId] {
         &self.buf[..self.len]
+    }
+}
+
+/// The peers one broadcast hop from `me` goes to, in send order.
+///
+/// Flat (`tree_root` is `None`): every member but `me`, ascending — the
+/// paper's broadcast. Tree: `me`'s children in the dissemination tree
+/// rooted at `tree_root` over `members`, in the topology
+/// [`select_topology`] picks for that many members. Each hop rebuilds
+/// the tree from its own membership view, so a crash or rejoin between
+/// hops re-routes the rest of the broadcast.
+pub fn broadcast_targets(me: u16, tree_root: Option<u16>, members: u128) -> Children {
+    match tree_root {
+        Some(origin) => {
+            let topology = select_topology(members.count_ones(), 0);
+            // Every member id is below the highest member bit + 1.
+            let nodes = (u128::BITS - members.leading_zeros()) as u16;
+            TreeView::build(topology, origin, members, nodes).children(me)
+        }
+        None => NodeList::from_mask(with_member(members, me, false))
+            .iter()
+            .map(|n| n.0)
+            .collect(),
     }
 }
 

@@ -8,11 +8,10 @@
 //! demands (the fixed send/receive costs include the thread hand-offs) on
 //! a single CPU resource per node, plus disk and NIC resources.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use press_cluster::{CpuCategory, FileCache, Node, NodeId, ServiceRates};
-use press_collect::{sample_peers, select_topology, DetRng, TreeView};
+use press_collect::{sample_peers, DetRng};
 use press_net::{
     fastpath_recv_cost, fastpath_send_cost, recv_cost, send_cost, wire_bytes, CostModel,
     DeliveryMode, EndpointCost, MessageType, MsgCounters, FILE_SEGMENT_BYTES,
@@ -20,10 +19,13 @@ use press_net::{
 use press_sim::{FaultInjector, FaultPlan, Histogram, IdMap, MeanVar, Model, Scheduler, SimTime};
 use press_telem::{lane, EventKind, FlightRecorder, Trace, TraceBuffer, TraceEvent};
 use press_trace::{FileCatalog, FileId, RequestLog, ScenarioOp, ScenarioPlan, Workload};
+use press_via::CreditWindow;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::forward::{all_nodes, is_member, with_member, CacheDirectory, PeerGuard, Reroute};
+use crate::forward::{
+    all_nodes, broadcast_targets, is_member, with_member, CacheDirectory, PeerGuard, Reroute,
+};
 use crate::load::Dissemination;
 use crate::overload::OverloadConfig;
 use crate::policy::{decide, decide_probed, Decision, PolicyConfig, RequestView};
@@ -198,15 +200,6 @@ pub(crate) struct FaultCounters {
     pub invalidations: u64,
 }
 
-/// Per-channel (sender→receiver) flow-control state.
-#[derive(Debug, Default)]
-struct Channel {
-    credits: u32,
-    /// Messages consumed by the receiver since the last credit return.
-    freed: u32,
-    queued: VecDeque<Msg>,
-}
-
 /// Where the simulated requests come from.
 ///
 /// Both variants hold their (immutable) workload behind an [`Arc`], so a
@@ -243,7 +236,8 @@ pub struct ClusterSim {
     /// `load_views[i][j]` = node i's belief about node j's load.
     load_views: Vec<Vec<u32>>,
     last_broadcast: Vec<u32>,
-    channels: Vec<Channel>,
+    /// Credit flow control per directed link, indexed `from * n + to`.
+    channels: Vec<CreditWindow<Msg>>,
     requests: IdMap<u64, Request>,
     next_req: u64,
     cpu_inflation: f64,
@@ -354,7 +348,9 @@ impl ClusterSim {
             ever_requested,
             load_views: vec![vec![0; n]; n],
             last_broadcast: vec![0; n],
-            channels: (0..n * n).map(|_| Channel::new_with_window()).collect(),
+            channels: (0..n * n)
+                .map(|_| CreditWindow::new(CREDIT_WINDOW, CREDIT_BATCH))
+                .collect(),
             requests: IdMap::default(),
             next_req: 1,
             cpu_inflation,
@@ -469,7 +465,7 @@ impl ClusterSim {
     /// Messages still waiting for flow-control credits — nonzero after a
     /// completed run would indicate a credit leak (deadlock).
     pub(crate) fn stuck_messages(&self) -> usize {
-        self.channels.iter().map(|c| c.queued.len()).sum()
+        self.channels.iter().map(|c| c.stalled()).sum()
     }
 
     pub(crate) fn fault_stats(&self) -> FaultCounters {
@@ -510,7 +506,7 @@ impl ClusterSim {
 
     // ----- helpers -----
 
-    fn channel_mut(&mut self, from: u16, to: u16) -> &mut Channel {
+    fn window(&mut self, from: u16, to: u16) -> &mut CreditWindow<Msg> {
         let n = self.params.nodes;
         &mut self.channels[from as usize * n + to as usize]
     }
@@ -794,58 +790,31 @@ impl ClusterSim {
         }
     }
 
-    /// Grants `credits` to the `from → to` channel and transmits any
-    /// messages they unblock (the Flow-consumption path, also used as the
-    /// modeled NACK repair when a Flow message itself is lost).
-    fn grant_credits(
-        &mut self,
-        now: SimTime,
-        from: u16,
-        to: u16,
-        credits: u32,
-        sched: &mut Scheduler<Event>,
-    ) {
-        let mut release = Vec::new();
-        {
-            let ch = self.channel_mut(from, to);
-            ch.credits += credits;
-            while ch.credits > 0 && !ch.queued.is_empty() {
-                ch.credits -= 1;
-                release.push(ch.queued.pop_front().expect("non-empty queue"));
-            }
-        }
+    /// Returns a Flow message's credits to the window it answers: on
+    /// consumption, or as the modeled NACK repair when the Flow itself
+    /// was lost.
+    fn flow_credits(&mut self, now: SimTime, flow: &Msg, sched: &mut Scheduler<Event>) {
+        let (from, to, n) = (flow.to, flow.from, flow.credits);
         self.trace_instant(
             now,
             from,
             lane::MAIN,
             EventKind::CreditGrant,
             0,
-            credits as u64,
+            n as u64,
             to as u64,
         );
+        self.grant(now, from, to, n, sched);
+    }
+
+    /// Returns `n` credits to the `from → to` window and transmits the
+    /// messages they unblock. A grant of one is the refund for a message
+    /// that paid a credit and was lost.
+    fn grant(&mut self, now: SimTime, from: u16, to: u16, n: u32, sched: &mut Scheduler<Event>) {
+        let release: Vec<Msg> = self.window(from, to).grant(n).collect();
         for m in release {
             self.transmit(now, m, sched);
         }
-    }
-
-    /// Returns one credit to the `from → to` channel after a message it
-    /// paid for was lost; the credit immediately funds the next queued
-    /// message if one is waiting.
-    fn credit_back(&mut self, now: SimTime, from: u16, to: u16, sched: &mut Scheduler<Event>) {
-        let queued = {
-            let ch = self.channel_mut(from, to);
-            if ch.credits >= CREDIT_WINDOW {
-                return;
-            }
-            match ch.queued.pop_front() {
-                Some(m) => m,
-                None => {
-                    ch.credits += 1;
-                    return;
-                }
-            }
-        };
-        self.transmit(now, queued, sched);
     }
 
     /// Builds and sends one intra-cluster message, respecting flow control.
@@ -902,24 +871,24 @@ impl ClusterSim {
             origin_load,
             probe,
         };
-        if self.needs_credit(ty) {
-            let ch = self.channel_mut(from, to);
-            if ch.credits == 0 {
-                ch.queued.push_back(msg);
-                let depth = ch.queued.len() as u64;
-                self.trace_instant(
-                    now,
-                    from,
-                    lane::MAIN,
-                    EventKind::CreditStall,
-                    req.unwrap_or(0),
-                    depth,
-                    to as u64,
-                );
-                return;
-            }
-            ch.credits -= 1;
-        }
+        let admitted = if self.needs_credit(ty) {
+            self.window(from, to).admit(msg)
+        } else {
+            Some(msg)
+        };
+        let Some(msg) = admitted else {
+            let depth = self.window(from, to).stalled() as u64;
+            self.trace_instant(
+                now,
+                from,
+                lane::MAIN,
+                EventKind::CreditStall,
+                req.unwrap_or(0),
+                depth,
+                to as u64,
+            );
+            return;
+        };
         self.transmit(now, msg, sched);
     }
 
@@ -988,10 +957,10 @@ impl ClusterSim {
         if self.injector.drop_message() {
             self.fault_stats.dropped_messages += 1;
             if self.needs_credit(msg.ty) {
-                self.credit_back(now, msg.from, msg.to, sched);
+                self.grant(now, msg.from, msg.to, 1, sched);
             }
             if msg.ty == MessageType::Flow && msg.credits > 0 {
-                self.grant_credits(now, msg.to, msg.from, msg.credits, sched);
+                self.flow_credits(now, &msg, sched);
             }
             return;
         }
@@ -1006,52 +975,38 @@ impl ClusterSim {
         sched.schedule(rx_done, Event::MsgDelivered(msg));
     }
 
-    /// Fans a broadcast one hop down the dissemination tree rooted at
-    /// `origin`: sends to `me`'s children in the tree derived from the
-    /// current membership epoch. Every hop rebuilds the tree from its own
-    /// live mask, so a crash or rejoin between hops re-routes the
-    /// remainder of the broadcast automatically (epoch-aware repair).
-    fn tree_fanout(
+    /// Sends one hop of a `ty` broadcast from `me`
+    /// ([`broadcast_targets`]): flat to every other node, or down the
+    /// tree rooted at `tree_root` over the live view, carrying the
+    /// root's `origin_load` to the relays.
+    fn fanout(
         &mut self,
         now: SimTime,
         ty: MessageType,
         me: u16,
-        origin: u16,
+        tree_root: Option<u16>,
         origin_load: u32,
         sched: &mut Scheduler<Event>,
     ) {
-        let mask = self.live_view;
-        let topo = select_topology(mask.count_ones(), 0);
-        let tree = TreeView::build(topo, origin, mask, self.params.nodes as u16);
-        let children = tree.children(me);
-        if children.is_empty() {
-            return;
+        let members = match tree_root {
+            Some(_) => self.live_view,
+            None => all_nodes(self.params.nodes),
+        };
+        let targets = broadcast_targets(me, tree_root, members);
+        let origin = tree_root.unwrap_or(me);
+        if tree_root.is_some() && !targets.is_empty() {
+            self.trace_instant(
+                now,
+                me,
+                lane::MAIN,
+                EventKind::TreeRelay,
+                0,
+                origin as u64,
+                targets.len() as u64,
+            );
         }
-        self.trace_instant(
-            now,
-            me,
-            lane::MAIN,
-            EventKind::TreeRelay,
-            0,
-            origin as u64,
-            children.len() as u64,
-        );
-        for c in children {
+        for c in targets {
             self.send_msg_ext(now, ty, me, c, 0, None, 0, origin, origin_load, 0, sched);
-        }
-    }
-
-    /// Sends one `ty` message from `node` to every other node directly
-    /// (the paper's flat broadcast).
-    fn broadcast_flat(
-        &mut self,
-        now: SimTime,
-        ty: MessageType,
-        node: u16,
-        sched: &mut Scheduler<Event>,
-    ) {
-        for peer in (0..self.params.nodes as u16).filter(|&p| p != node) {
-            self.send_msg(now, ty, node, peer, 0, None, 0, sched);
         }
     }
 
@@ -1099,12 +1054,12 @@ impl ClusterSim {
             self.last_broadcast[node as usize] = load;
             match self.params.dissemination {
                 Dissemination::TreeBroadcast(_) => {
-                    self.tree_fanout(now, MessageType::Load, node, node, load, sched);
+                    self.fanout(now, MessageType::Load, node, Some(node), load, sched);
                 }
                 Dissemination::SparsePull { fanout, .. } => {
                     self.sparse_pull(now, node, fanout, sched);
                 }
-                _ => self.broadcast_flat(now, MessageType::Load, node, sched),
+                _ => self.fanout(now, MessageType::Load, node, None, 0, sched),
             }
         }
     }
@@ -1125,13 +1080,10 @@ impl ClusterSim {
         for &ev in &evicted {
             self.directory.evict(ev, node);
         }
-        if self.uses_collect() {
-            // Caching info still reaches everyone, but along the tree:
-            // the origin pays O(fan-out) sends instead of N - 1.
-            self.tree_fanout(now, MessageType::Caching, node, node, 0, sched);
-        } else {
-            self.broadcast_flat(now, MessageType::Caching, node, sched);
-        }
+        // Under collect strategies caching info still reaches everyone,
+        // but along the tree: the origin pays O(fan-out) sends, not N - 1.
+        let tree_root = self.uses_collect().then_some(node);
+        self.fanout(now, MessageType::Caching, node, tree_root, 0, sched);
     }
 
     /// Sends the file of `req` from `from` to the request's initial node:
@@ -1660,11 +1612,8 @@ impl ClusterSim {
                 continue;
             }
             for (a, b) in [(node, peer), (peer, node)] {
-                let ch = self.channel_mut(a, b);
-                let lost = ch.drop_queued();
-                ch.credits = CREDIT_WINDOW;
-                ch.freed = 0;
-                self.fault_stats.dropped_messages += lost;
+                let lost = self.window(a, b).reset();
+                self.fault_stats.dropped_messages += lost as u64;
             }
         }
     }
@@ -1743,27 +1692,8 @@ impl ClusterSim {
         // The buffer is freed whatever the payload looks like, so this
         // happens before the corruption check.
         if self.needs_credit(msg.ty) {
-            let batch_ready = {
-                let ch = self.channel_mut(msg.from, msg.to);
-                ch.freed += 1;
-                if ch.freed >= CREDIT_BATCH {
-                    ch.freed = 0;
-                    true
-                } else {
-                    false
-                }
-            };
-            if batch_ready {
-                self.send_msg(
-                    now,
-                    MessageType::Flow,
-                    msg.to,
-                    msg.from,
-                    0,
-                    None,
-                    CREDIT_BATCH,
-                    sched,
-                );
+            if let Some(n) = self.window(msg.from, msg.to).consume() {
+                self.send_msg(now, MessageType::Flow, msg.to, msg.from, 0, None, n, sched);
             }
         }
         // Injected corruption: the content is discarded after the buffer
@@ -1830,12 +1760,11 @@ impl ClusterSim {
                 {
                     // Relay the broadcast one hop further down the tree,
                     // rebuilt from our current membership epoch.
-                    self.tree_fanout(now, msg.ty, msg.to, msg.origin, msg.origin_load, sched);
+                    let root = Some(msg.origin);
+                    self.fanout(now, msg.ty, msg.to, root, msg.origin_load, sched);
                 }
             }
-            MessageType::Flow => {
-                self.grant_credits(now, msg.to, msg.from, msg.credits, sched);
-            }
+            MessageType::Flow => self.flow_credits(now, &msg, sched),
             MessageType::Forward => {
                 let req_id = msg.req.expect("forward carries a request");
                 // The request may have been lost with its client's node,
@@ -1864,23 +1793,6 @@ impl ClusterSim {
                 }
             }
         }
-    }
-}
-
-impl Channel {
-    fn new_with_window() -> Self {
-        Channel {
-            credits: CREDIT_WINDOW,
-            freed: 0,
-            queued: VecDeque::new(),
-        }
-    }
-
-    /// Discards the messages waiting for credits, returning how many.
-    fn drop_queued(&mut self) -> u64 {
-        let lost = self.queued.len() as u64;
-        self.queued.clear();
-        lost
     }
 }
 
@@ -2033,7 +1945,7 @@ impl Model for ClusterSim {
                 if !self.alive[msg.to as usize] || !self.alive[msg.from as usize] {
                     self.fault_stats.dropped_messages += 1;
                     if self.alive[msg.from as usize] && self.needs_credit(msg.ty) {
-                        self.credit_back(now, msg.from, msg.to, sched);
+                        self.grant(now, msg.from, msg.to, 1, sched);
                     }
                     return;
                 }
@@ -2091,8 +2003,8 @@ impl Model for ClusterSim {
                     // Anything still queued toward the evicted peer will
                     // never be sendable; count it as lost.
                     for peer in (0..self.params.nodes as u16).filter(|&p| p != node) {
-                        let lost = self.channel_mut(peer, node).drop_queued();
-                        self.fault_stats.dropped_messages += lost;
+                        let lost = self.window(peer, node).drop_stalled();
+                        self.fault_stats.dropped_messages += lost as u64;
                     }
                 }
             }

@@ -8,17 +8,17 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use press_cluster::{FileCache, NodeId};
-use press_collect::{sample_peers, select_topology, DetRng, TreeView};
-use press_core::forward::{is_member, with_member};
+use press_collect::{sample_peers, DetRng};
+use press_core::forward::{broadcast_targets, is_member};
 use press_core::{
-    decide, decorrelated_jitter_micros, CacheDirectory, Decision, NodeList, OverloadConfig,
-    PeerGuard, PolicyConfig, RequestView, Reroute,
+    decide, decorrelated_jitter_micros, CacheDirectory, Decision, OverloadConfig, PeerGuard,
+    PolicyConfig, RequestView, Reroute,
 };
 use press_telem::{EventKind, TraceHandle};
 use press_trace::{FileCatalog, FileId};
 use press_via::{
-    CompletionKind, CompletionQueue, Descriptor, Doorbell, MemHandle, Nic, RemoteBuffer, SlabPool,
-    Vi, ViaError,
+    Completion, CompletionKind, CompletionQueue, CreditWindow, Descriptor, Doorbell, MemHandle,
+    Nic, RemoteBuffer, SlabPool, Vi, ViaError,
 };
 use std::collections::HashMap;
 
@@ -90,7 +90,8 @@ pub(crate) enum SendJob {
         msg: WireMsg,
         needs_credit: bool,
     },
-    /// The receive thread observed returned credits from `from`.
+    /// Credits for the window toward `from`: a Flow's batch, or the
+    /// refund of a message to `from` that failed in transport.
     Credits { from: usize, n: u32 },
     /// RDMA-write our current load into every peer's load table.
     RdmaLoad { load: u32 },
@@ -277,7 +278,9 @@ pub(crate) fn main_loop(
         t0: Instant::now(),
         crashed: false,
         ring_expected: vec![1; n],
-        ring_consumed: vec![0; n],
+        ring_returns: (0..n)
+            .map(|_| CreditWindow::new(ctx.window, ctx.credit_batch))
+            .collect(),
         ctx,
         cfg,
         send_tx,
@@ -382,7 +385,8 @@ struct Main {
     /// Recover/Shutdown is discarded, like a host that stopped executing.
     crashed: bool,
     ring_expected: Vec<u64>,
-    ring_consumed: Vec<u32>,
+    /// Receiver side of each source's credit window, for ring entries.
+    ring_returns: Vec<CreditWindow<()>>,
 }
 
 impl Main {
@@ -569,7 +573,8 @@ impl Main {
                     self.directory.evict(msg.file, origin as u16);
                 }
                 if origin_enc != 0 {
-                    self.tree_caching_fanout(msg.file, msg.token, msg.sender_load, origin);
+                    let root = Some(origin as u16);
+                    self.caching_fanout(msg.file, msg.token, msg.sender_load, root);
                 }
             }
             // Flow is consumed by the receive thread.
@@ -828,7 +833,7 @@ impl Main {
                 if self.crashed {
                     // Sequence advances, data is lost, no credits flow
                     // back: the sender sees a peer that stopped consuming.
-                    self.ring_consumed[src] = 0;
+                    self.ring_returns[src].reset();
                     continue;
                 }
                 let Ok(payload) = ctx.nic.read_region(ring, slot * ctx.ring_slot_bytes, len) else {
@@ -838,7 +843,9 @@ impl Main {
                 // The ring trailer carried the remote sender's span id:
                 // stitch the zero-copy arrival into the causal chain.
                 self.complete_forward(token, src, parent, payload);
-                consumed_one(&self.ctx, &self.send_tx, &mut self.ring_consumed[src], src);
+                if let Some(n) = self.ring_returns[src].consume() {
+                    send_flow(&self.ctx, &self.send_tx, src, n);
+                }
             }
         }
     }
@@ -872,40 +879,27 @@ impl Main {
             // format is unchanged, legacy receivers see origin 0 == "the
             // sender".
             let token = action | ((self.ctx.id as u64 + 1) << 8);
-            self.tree_caching_fanout(file, token, self.load, self.ctx.id);
+            self.caching_fanout(file, token, self.load, Some(self.me));
         } else {
-            let (_, live) = self.ctx.membership.snapshot();
-            let peers = NodeList::from_mask(with_member(live as u128, self.me, false));
-            for peer in peers.iter() {
-                ServerStats::bump(&self.ctx.stats.caching_msgs);
-                let msg = WireMsg::header(WireKind::Caching, file, action, self.load, 0);
-                self.send(peer.0 as usize, msg);
-            }
+            self.caching_fanout(file, action, self.load, None);
         }
     }
 
-    /// Sends a (possibly relayed) tree-routed Caching message to this
-    /// node's children in the dissemination tree rooted at `origin`,
-    /// rebuilt from the *current* membership snapshot — so a crash or
-    /// rejoin between hops re-routes the rest of the broadcast
-    /// (epoch-aware repair), with no repair protocol. The credit window
-    /// applies per hop, exactly as for flat sends.
-    fn tree_caching_fanout(&self, file: FileId, token: u64, load: u32, origin: usize) {
+    /// Sends one hop of a Caching broadcast ([`broadcast_targets`]) over
+    /// the *current* membership snapshot: flat to every live peer, or to
+    /// this node's children in the tree rooted at `tree_root`. The
+    /// credit window applies per hop, exactly as for flat sends.
+    fn caching_fanout(&self, file: FileId, token: u64, load: u32, tree_root: Option<u16>) {
         let ctx = &self.ctx;
-        let (_, mask) = ctx.membership.snapshot();
-        let topo = select_topology(mask.count_ones(), 0);
-        let tree = TreeView::build(topo, origin as u16, mask as u128, ctx.nodes as u16);
-        let children = tree.children(self.me);
-        if children.is_empty() {
-            return;
+        let (_, live) = ctx.membership.snapshot();
+        let targets = broadcast_targets(self.me, tree_root, live as u128);
+        if let Some(origin) = tree_root {
+            if targets.is_empty() {
+                return;
+            }
+            ctx.trace_event(EventKind::TreeRelay, 0, origin as u64, targets.len() as u64);
         }
-        ctx.trace_event(
-            EventKind::TreeRelay,
-            0,
-            origin as u64,
-            children.len() as u64,
-        );
-        for c in children {
+        for c in targets {
             ServerStats::bump(&ctx.stats.caching_msgs);
             self.send(
                 c as usize,
@@ -915,68 +909,14 @@ impl Main {
     }
 }
 
-/// Counts one consumed credit-bearing message from `peer` and returns
-/// the batch of credits to it once `credit_batch` have accumulated.
-fn consumed_one(ctx: &NodeCtx, send_tx: &Sender<SendJob>, consumed: &mut u32, peer: usize) {
-    *consumed += 1;
-    if *consumed >= ctx.credit_batch {
-        let n = std::mem::take(consumed);
-        ServerStats::bump(&ctx.stats.flow_msgs);
-        let _ = send_tx.send(SendJob::Msg {
-            to: peer,
-            msg: WireMsg::header(WireKind::Flow, FileId(0), n as u64, 0, 0),
-            needs_credit: false,
-        });
-    }
-}
-
-/// The classic (V0–V5) post path: marshal into the per-peer rotating
-/// slot region and post one descriptor per message.
-///
-/// In-flight safety: data messages are bounded by the credit window
-/// (at most `window` unconsumed per peer, matching the `window` send
-/// slots); flow messages self-limit to window/batch outstanding and
-/// rotate through their own region.
-/// Post failures (unregistered regions, torn-down VIs) lose the
-/// message rather than killing the thread — the retry machinery in the
-/// main loop recovers, just like it does for lost wire messages.
-fn post_legacy(
-    ctx: &NodeCtx,
-    peer: usize,
-    msg: &WireMsg,
-    next_slot: &mut [usize],
-    next_flow_slot: &mut [usize],
-    buf: &mut [u8],
-) {
-    let len = msg.encode(buf);
-    let (region, slot, slot_size) = if msg.kind == WireKind::Flow {
-        let Some(region) = ctx.flow_regions[peer] else {
-            ServerStats::bump(&ctx.stats.via_errors);
-            return;
-        };
-        let slot = next_flow_slot[peer];
-        next_flow_slot[peer] = (slot + 1) % ctx.window as usize;
-        (region, slot, HEADER_BYTES)
-    } else {
-        let Some(region) = ctx.send_regions[peer] else {
-            ServerStats::bump(&ctx.stats.via_errors);
-            return;
-        };
-        let slot = next_slot[peer];
-        next_slot[peer] = (slot + 1) % ctx.window as usize;
-        (region, slot, ctx.slot_bytes)
-    };
-    let offset = slot * slot_size;
-    if ctx.nic.write_region(region, offset, &buf[..len]).is_err() {
-        ServerStats::bump(&ctx.stats.via_errors);
-        return;
-    }
-    let posted = ctx.vis[peer]
-        .as_ref()
-        .map(|vi| vi.post_send(Descriptor::new(region, offset, len)));
-    if !matches!(posted, Some(Ok(()))) {
-        ServerStats::bump(&ctx.stats.via_errors);
-    }
+/// Queues a Flow message returning `n` credits to `peer`.
+fn send_flow(ctx: &NodeCtx, send_tx: &Sender<SendJob>, peer: usize, n: u32) {
+    ServerStats::bump(&ctx.stats.flow_msgs);
+    let _ = send_tx.send(SendJob::Msg {
+        to: peer,
+        msg: WireMsg::header(WireKind::Flow, FileId(0), n as u64, 0, 0),
+        needs_credit: false,
+    });
 }
 
 /// Flushes one peer's doorbell, surfacing failures as via_errors.
@@ -1031,41 +971,159 @@ fn slab_post(
     Ok(())
 }
 
-/// Posts one message: the V6 fast path when enabled (falling back to the
-/// classic per-peer slot regions if the pool is momentarily exhausted),
-/// the classic path otherwise.
-#[allow(clippy::too_many_arguments)]
-fn post_msg(
-    ctx: &NodeCtx,
-    bells: &mut [Option<Doorbell>],
-    peer: usize,
-    msg: &WireMsg,
-    next_slot: &mut [usize],
-    next_flow_slot: &mut [usize],
-    buf: &mut [u8],
-) {
-    if let (Some(bell), Some(pool)) = (bells[peer].as_mut(), ctx.send_pool.as_deref()) {
-        match slab_post(ctx, pool, bell, msg, buf) {
-            Ok(()) => return,
-            // Completions lagging behind the posting rate: fall back to
-            // the classic slot regions rather than dropping the message.
-            Err(ViaError::PoolExhausted) => {}
-            Err(_) => {
-                ServerStats::bump(&ctx.stats.via_errors);
-                return;
-            }
+/// The send thread's posting state: one doorbell per peer (V6), the
+/// rotating slot cursors of the classic regions and the file rings, and
+/// the marshalling buffer.
+struct Poster<'a> {
+    ctx: &'a NodeCtx,
+    bells: Vec<Option<Doorbell>>,
+    next_slot: Vec<usize>,
+    next_flow_slot: Vec<usize>,
+    next_ring_seq: Vec<u64>,
+    buf: Vec<u8>,
+}
+
+impl Poster<'_> {
+    /// Puts `msg` on the wire toward `to`: file data by remote write in
+    /// RemoteWrite mode; otherwise the V6 fast path when enabled (falling
+    /// back to the classic slot regions if the pool is momentarily
+    /// exhausted), the classic path if not. Returns `false` if the
+    /// message was lost at post time. A lost ring write is not reported:
+    /// the reader waits on its sequence number whatever the window does.
+    fn dispatch(&mut self, to: usize, msg: &WireMsg) -> bool {
+        let ctx = self.ctx;
+        if ctx.file_mode == FileTransferMode::RemoteWrite && msg.kind == WireKind::FileData {
+            // RDMA bypasses the doorbell; keep per-VI ordering.
+            flush_bell(ctx, &mut self.bells[to]);
+            self.rmw_file(to, msg);
+            return true;
         }
-        // The classic path bypasses the doorbell; flush staged traffic
-        // first so per-VI ordering is preserved.
-        flush_bell(ctx, &mut bells[peer]);
+        if let (Some(bell), Some(pool)) = (self.bells[to].as_mut(), ctx.send_pool.as_deref()) {
+            match slab_post(ctx, pool, bell, msg, &mut self.buf) {
+                Ok(()) => return true,
+                // Completions lagging behind the posting rate: fall back
+                // to the classic slot regions rather than dropping it.
+                Err(ViaError::PoolExhausted) => {}
+                Err(_) => {
+                    ServerStats::bump(&ctx.stats.via_errors);
+                    return false;
+                }
+            }
+            // The classic path bypasses the doorbell; flush staged
+            // traffic first so per-VI ordering is preserved.
+            flush_bell(ctx, &mut self.bells[to]);
+        }
+        self.post_legacy(to, msg)
     }
-    post_legacy(ctx, peer, msg, next_slot, next_flow_slot, buf);
+
+    /// The classic (V0–V5) post path: marshal into the per-peer rotating
+    /// slot region and post one descriptor per message.
+    ///
+    /// In-flight safety: data messages are bounded by the credit window
+    /// (at most `window` unconsumed per peer, matching the `window` send
+    /// slots); flow messages self-limit to window/batch outstanding and
+    /// rotate through their own region.
+    /// Post failures (unregistered regions, torn-down VIs) lose the
+    /// message rather than killing the thread — the retry machinery in
+    /// the main loop recovers, just like it does for lost wire messages.
+    fn post_legacy(&mut self, peer: usize, msg: &WireMsg) -> bool {
+        let ctx = self.ctx;
+        let len = msg.encode(&mut self.buf);
+        let (regions, cursor, slot_size) = if msg.kind == WireKind::Flow {
+            (
+                &ctx.flow_regions,
+                &mut self.next_flow_slot[peer],
+                HEADER_BYTES,
+            )
+        } else {
+            (&ctx.send_regions, &mut self.next_slot[peer], ctx.slot_bytes)
+        };
+        let offset = *cursor * slot_size;
+        *cursor = (*cursor + 1) % ctx.window as usize;
+        let posted = regions[peer]
+            .zip(ctx.vis[peer].as_ref())
+            .is_some_and(|(region, vi)| {
+                ctx.nic
+                    .write_region(region, offset, &self.buf[..len])
+                    .is_ok()
+                    && vi.post_send(Descriptor::new(region, offset, len)).is_ok()
+            });
+        if !posted {
+            ServerStats::bump(&ctx.stats.via_errors);
+        }
+        posted
+    }
+
+    /// Stages a file into the sender's send slot and remote-writes it
+    /// into the peer's inbound ring: one RDMA covering payload and
+    /// trailer, with the sequence number in the slot's last bytes
+    /// (Section 3.4, version 3). The credit window bounds in-flight
+    /// entries to the ring capacity, so a slot is never overwritten
+    /// before the reader consumed it.
+    fn rmw_file(&mut self, to: usize, msg: &WireMsg) {
+        let ctx = self.ctx;
+        let seq = self.next_ring_seq[to];
+        self.next_ring_seq[to] += 1;
+        let ring_slot = ((seq - 1) % ctx.window as u64) as usize;
+        let slot_bytes = ctx.ring_slot_bytes;
+        encode_ring_slot(
+            &mut self.buf,
+            slot_bytes,
+            &msg.payload,
+            msg.token,
+            msg.parent_span,
+            seq,
+        );
+        // Stage in our send region (the credit window keeps the slot live
+        // until the reader consumed the previous occupant of the ring slot).
+        let (Some(region), Some(peer_ring)) = (ctx.send_regions[to], ctx.peer_rings[to]) else {
+            ServerStats::bump(&ctx.stats.via_errors);
+            return;
+        };
+        let slot = self.next_slot[to];
+        self.next_slot[to] = (slot + 1) % ctx.window as usize;
+        let offset = slot * ctx.slot_bytes;
+        if ctx
+            .nic
+            .write_region(region, offset, &self.buf[..slot_bytes])
+            .is_err()
+        {
+            ServerStats::bump(&ctx.stats.via_errors);
+            return;
+        }
+        ServerStats::bump(&ctx.stats.rdma_file_writes);
+        let target = RemoteBuffer {
+            region: peer_ring,
+            offset: ring_slot * slot_bytes,
+        };
+        let posted = ctx.vis[to]
+            .as_ref()
+            .map(|vi| vi.rdma_write(Descriptor::new(region, offset, slot_bytes), target));
+        if !matches!(posted, Some(Ok(()))) {
+            ServerStats::bump(&ctx.stats.via_errors);
+        }
+    }
+
+    /// Returns `n` credits to `peer`'s window and posts the messages they
+    /// release, in FIFO order. A released message lost at post time
+    /// refunds its credit the same way.
+    fn grant(&mut self, window: &mut CreditWindow<WireMsg>, peer: usize, mut n: u32) {
+        while n > 0 {
+            let mut lost = 0;
+            for msg in window.grant(n) {
+                if !self.dispatch(peer, &msg) {
+                    lost += 1;
+                }
+            }
+            n = lost;
+        }
+    }
 }
 
 /// Releases the slab slot behind a completed fast-path send. RDMA and
 /// classic-region completions name a different region and fall through
 /// untouched.
-fn reap_slab(ctx: &NodeCtx, c: &press_via::Completion) {
+fn reap_slab(ctx: &NodeCtx, c: &Completion) {
     let Some(pool) = &ctx.send_pool else {
         return;
     };
@@ -1085,13 +1143,9 @@ fn reap_slab(ctx: &NodeCtx, c: &press_via::Completion) {
 /// buffers and posts descriptors, respecting the per-peer credit window.
 pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
     let n = ctx.nodes;
-    let mut credits = vec![ctx.window; n];
-    let mut queued: Vec<std::collections::VecDeque<WireMsg>> =
-        (0..n).map(|_| std::collections::VecDeque::new()).collect();
-    let mut next_slot = vec![0usize; n];
-    let mut next_flow_slot = vec![0usize; n];
-    let mut next_ring_seq = vec![1u64; n];
-    let mut buf = vec![0u8; ctx.slot_bytes.max(ctx.ring_slot_bytes)];
+    let mut windows: Vec<CreditWindow<WireMsg>> = (0..n)
+        .map(|_| CreditWindow::new(ctx.window, ctx.credit_batch))
+        .collect();
     // Sparse load dissemination: deterministic per-node stream, so a
     // given (seed, fanout) config replays the same peer samples.
     let mut load_rng = DetRng::new(0x10AD_u64 ^ ctx.id as u64);
@@ -1100,7 +1154,7 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
     // fed from the shared slab pool. All None when doorbell_batch is 1,
     // leaving the V0–V5 path byte-for-byte untouched. No age limit: the
     // loop below rings every staged batch before it sleeps.
-    let mut bells: Vec<Option<Doorbell>> = (0..n)
+    let bells = (0..n)
         .map(|peer| {
             (ctx.doorbell_batch > 1)
                 .then(|| ctx.vis[peer].clone())
@@ -1108,6 +1162,14 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
                 .map(|vi| Doorbell::new(vi, ctx.doorbell_batch as usize, Duration::MAX))
         })
         .collect();
+    let mut path = Poster {
+        ctx: &ctx,
+        bells,
+        next_slot: vec![0; n],
+        next_flow_slot: vec![0; n],
+        next_ring_seq: vec![1; n],
+        buf: vec![0; ctx.slot_bytes.max(ctx.ring_slot_bytes)],
+    };
 
     loop {
         // Queued jobs are taken without blocking so a burst coalesces;
@@ -1116,7 +1178,7 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
         let job = match jobs.try_recv() {
             Ok(j) => j,
             Err(TryRecvError::Empty) => {
-                for bell in bells.iter_mut() {
+                for bell in path.bells.iter_mut() {
                     flush_bell(&ctx, bell);
                 }
                 match jobs.recv() {
@@ -1128,78 +1190,30 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
         };
         match job {
             SendJob::Shutdown => break,
+            // A Flow takes no credit. One lost at post time is not
+            // re-sent: post-time failures (an unregistered region, a
+            // torn-down engine) are not transient.
             SendJob::Msg {
                 to,
                 msg,
-                needs_credit,
+                needs_credit: false,
             } => {
-                if needs_credit {
-                    if credits[to] == 0 {
-                        // Credit stall: push staged traffic out now, or
-                        // the peer can never consume it and return the
-                        // credits this queue is waiting on.
-                        flush_bell(&ctx, &mut bells[to]);
-                        queued[to].push_back(msg);
-                        continue;
-                    }
-                    credits[to] -= 1;
-                }
-                if ctx.file_mode == FileTransferMode::RemoteWrite && msg.kind == WireKind::FileData
-                {
-                    // RDMA bypasses the doorbell; keep per-VI ordering.
-                    flush_bell(&ctx, &mut bells[to]);
-                    rmw_file(&ctx, to, &msg, &mut next_slot, &mut next_ring_seq, &mut buf);
-                } else {
-                    post_msg(
-                        &ctx,
-                        &mut bells,
-                        to,
-                        &msg,
-                        &mut next_slot,
-                        &mut next_flow_slot,
-                        &mut buf,
-                    );
+                path.dispatch(to, &msg);
+            }
+            SendJob::Msg { to, msg, .. } => {
+                let Some(msg) = windows[to].admit(msg) else {
+                    // Credit stall: push staged traffic out now, or the
+                    // peer can never consume it and return the credits
+                    // this queue is waiting on.
+                    flush_bell(&ctx, &mut path.bells[to]);
+                    continue;
+                };
+                if !path.dispatch(to, &msg) {
+                    path.grant(&mut windows[to], to, 1);
                 }
             }
-            SendJob::Credits { from, n } => {
-                // Clamp to the window: a stale credit return (consumed
-                // before the peer crashed) arriving after a ResetPeer
-                // repair must not push credits past the slot count, or
-                // sends would overwrite unconsumed ring slots. Found by
-                // press-analyze's credit-repair interleaving model.
-                credits[from] = (credits[from] + n).min(ctx.window);
-                while credits[from] > 0 {
-                    match queued[from].pop_front() {
-                        Some(msg) => {
-                            credits[from] -= 1;
-                            if ctx.file_mode == FileTransferMode::RemoteWrite
-                                && msg.kind == WireKind::FileData
-                            {
-                                flush_bell(&ctx, &mut bells[from]);
-                                rmw_file(
-                                    &ctx,
-                                    from,
-                                    &msg,
-                                    &mut next_slot,
-                                    &mut next_ring_seq,
-                                    &mut buf,
-                                );
-                            } else {
-                                post_msg(
-                                    &ctx,
-                                    &mut bells,
-                                    from,
-                                    &msg,
-                                    &mut next_slot,
-                                    &mut next_flow_slot,
-                                    &mut buf,
-                                );
-                            }
-                        }
-                        None => break,
-                    }
-                }
-            }
+            // Returned, or refunded for a message lost in transport.
+            SendJob::Credits { from, n } => path.grant(&mut windows[from], from, n),
             SendJob::RdmaLoad { load } => {
                 if ctx
                     .nic
@@ -1223,7 +1237,7 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
                         ctx.load_write_fanout as usize,
                     )
                 });
-                for (peer, bell) in bells.iter_mut().enumerate() {
+                for (peer, bell) in path.bells.iter_mut().enumerate() {
                     if peer == ctx.id || !is_member(live as u128, peer as u16) {
                         continue;
                     }
@@ -1255,72 +1269,15 @@ pub(crate) fn send_loop(ctx: Arc<NodeCtx>, jobs: Receiver<SendJob>) {
                 // descriptors, and nothing stale queued toward it. Staged
                 // batches are flushed (not dropped) so their slab slots
                 // still complete and return to the pool.
-                flush_bell(&ctx, &mut bells[peer]);
-                credits[peer] = ctx.window;
-                queued[peer].clear();
+                flush_bell(&ctx, &mut path.bells[peer]);
+                windows[peer].reset();
             }
         }
     }
     // Drain whatever is still staged so no slab slot leaks its in-flight
     // mark across shutdown.
-    for bell in bells.iter_mut() {
+    for bell in path.bells.iter_mut() {
         flush_bell(&ctx, bell);
-    }
-}
-
-/// Stages a file into the sender's send slot and remote-writes it into
-/// the peer's inbound ring: one RDMA covering payload and trailer, with
-/// the sequence number in the slot's last bytes (Section 3.4, version 3).
-/// The credit window bounds in-flight entries to the ring capacity, so a
-/// slot is never overwritten before the reader consumed it.
-fn rmw_file(
-    ctx: &NodeCtx,
-    to: usize,
-    msg: &WireMsg,
-    next_slot: &mut [usize],
-    next_ring_seq: &mut [u64],
-    buf: &mut [u8],
-) {
-    let seq = next_ring_seq[to];
-    next_ring_seq[to] += 1;
-    let ring_slot = ((seq - 1) % ctx.window as u64) as usize;
-    encode_ring_slot(
-        buf,
-        ctx.ring_slot_bytes,
-        &msg.payload,
-        msg.token,
-        msg.parent_span,
-        seq,
-    );
-    // Stage in our send region (the credit window keeps the slot live
-    // until the reader consumed the previous occupant of the ring slot).
-    let (Some(region), Some(peer_ring)) = (ctx.send_regions[to], ctx.peer_rings[to]) else {
-        ServerStats::bump(&ctx.stats.via_errors);
-        return;
-    };
-    let slot = next_slot[to];
-    next_slot[to] = (slot + 1) % ctx.window as usize;
-    let offset = slot * ctx.slot_bytes;
-    if ctx
-        .nic
-        .write_region(region, offset, &buf[..ctx.ring_slot_bytes])
-        .is_err()
-    {
-        ServerStats::bump(&ctx.stats.via_errors);
-        return;
-    }
-    ServerStats::bump(&ctx.stats.rdma_file_writes);
-    let posted = ctx.vis[to].as_ref().map(|vi| {
-        vi.rdma_write(
-            Descriptor::new(region, offset, ctx.ring_slot_bytes),
-            RemoteBuffer {
-                region: peer_ring,
-                offset: ring_slot * ctx.ring_slot_bytes,
-            },
-        )
-    });
-    if !matches!(posted, Some(Ok(()))) {
-        ServerStats::bump(&ctx.stats.via_errors);
     }
 }
 
@@ -1333,7 +1290,9 @@ pub(crate) fn recv_loop(
     main_tx: Sender<NodeEvent>,
     send_tx: Sender<SendJob>,
 ) {
-    let mut consumed = vec![0u32; ctx.nodes];
+    let mut returns: Vec<CreditWindow<()>> = (0..ctx.nodes)
+        .map(|_| CreditWindow::new(ctx.window, ctx.credit_batch))
+        .collect();
     loop {
         match cq.wait(Duration::from_millis(20)) {
             Err(_) => {
@@ -1352,13 +1311,17 @@ pub(crate) fn recv_loop(
                     // surface here; the message is gone, recovery is the
                     // sender's retry problem. Failed receive descriptors
                     // are consumed, so repost to keep the window intact;
-                    // failed fast-path sends still release their slot.
+                    // a failed send repairs flow control, and a failed
+                    // fast-path send still releases its slot.
                     ServerStats::bump(&ctx.stats.via_errors);
                     if c.kind == CompletionKind::Recv {
                         repost_recv(&ctx, peer, &c);
-                    } else {
-                        reap_slab(&ctx, &c);
+                        continue;
                     }
+                    if c.kind == CompletionKind::Send {
+                        repair_lost_send(&ctx, &send_tx, peer, &c);
+                    }
+                    reap_slab(&ctx, &c);
                     continue;
                 }
                 // Send-side and RDMA completions need no further action —
@@ -1384,7 +1347,7 @@ pub(crate) fn recv_loop(
                 if dead {
                     // Dead hosts receive nothing: no credits returned, no
                     // events forwarded. Senders time out and re-route.
-                    consumed[peer] = 0;
+                    returns[peer].reset();
                     continue;
                 }
                 if data.is_empty() && c.transferred > 0 {
@@ -1402,16 +1365,39 @@ pub(crate) fn recv_loop(
                     continue;
                 }
                 // Credit-consuming message: count toward a batch return.
-                consumed_one(&ctx, &send_tx, &mut consumed[peer], peer);
+                if let Some(n) = returns[peer].consume() {
+                    send_flow(&ctx, &send_tx, peer, n);
+                }
                 let _ = main_tx.send(NodeEvent::Remote { from: peer, msg });
             }
         }
     }
 }
 
+/// Repairs flow control after a send to `peer` failed in transport
+/// (DESIGN.md "Flow-control repair"): a lost Flow is re-sent with its
+/// credits, and any other lost message refunds the credit it took. The
+/// kind is read back from the source buffer, which the sender still
+/// owns: a fast-path slab slot is freed only after this.
+fn repair_lost_send(ctx: &NodeCtx, send_tx: &Sender<SendJob>, peer: usize, c: &Completion) {
+    let header = ctx
+        .nic
+        .read_region(c.descriptor.region, c.descriptor.offset, HEADER_BYTES)
+        .unwrap_or_default();
+    match WireMsg::decode(&header) {
+        // A Flow is a bare header, so its header decodes whole.
+        Some(msg) if msg.kind == WireKind::Flow => {
+            send_flow(ctx, send_tx, peer, msg.token as u32);
+        }
+        _ => {
+            let _ = send_tx.send(SendJob::Credits { from: peer, n: 1 });
+        }
+    }
+}
+
 /// Reposts a consumed receive descriptor at full message size; a failure
 /// costs one descriptor from the (slack-provisioned) pool, not the thread.
-fn repost_recv(ctx: &NodeCtx, peer: usize, c: &press_via::Completion) {
+fn repost_recv(ctx: &NodeCtx, peer: usize, c: &Completion) {
     let posted = ctx.vis[peer].as_ref().map(|vi| {
         vi.post_recv(Descriptor::new(
             c.descriptor.region,

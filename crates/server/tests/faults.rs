@@ -166,3 +166,49 @@ fn injected_transport_failures_are_absorbed() {
     );
     cluster.shutdown();
 }
+
+#[test]
+fn lost_messages_refund_their_credits() {
+    // Every send that fails in transport paid a credit toward its peer;
+    // unless the credit comes back, each link's window drains a message
+    // at a time until forwards queue forever and every request is served
+    // where it arrived. Caches smaller than the catalog keep forwarding
+    // going, so a collapse shows as a last quarter with no forwards.
+    // Fault-free, this run forwards about 280 per quarter; with the
+    // faults and the refund, 75–150 (lost Caching broadcasts are never
+    // repaired, so the directories drift); without the refund, none.
+    let cfg = LiveConfig {
+        retry_timeout: Duration::from_millis(15),
+        max_retries: 2,
+        cache_bytes: 16 * 1024,
+        faults: Some(FaultPlan {
+            seed: 31,
+            corrupt_probability: 0.10,
+            ..FaultPlan::none()
+        }),
+        ..LiveConfig::default()
+    };
+    let cluster = LiveCluster::start(cfg, catalog(64, 1024));
+    let mut forwarded_at_three_quarters = 0;
+    for i in 0..1600u32 {
+        if i == 1200 {
+            forwarded_at_three_quarters = ServerStats::get(&cluster.stats().forwarded);
+        }
+        let f = FileId(i.wrapping_mul(2_654_435_761) % 64);
+        let data = cluster
+            .request(i as usize % 4, f, T)
+            .expect("request under loss");
+        assert_eq!(data, file_contents(f, 1024), "request {i}");
+    }
+    let stats = cluster.stats();
+    let late = ServerStats::get(&stats.forwarded) - forwarded_at_three_quarters;
+    assert!(
+        ServerStats::get(&stats.via_errors) > 0,
+        "injection produced no error completions"
+    );
+    assert!(
+        late >= 25,
+        "forwarding collapsed: {late} of the last 400 requests forwarded"
+    );
+    cluster.shutdown();
+}

@@ -3,10 +3,14 @@
 //! PRESS runs its own credit-based flow control over VIA (the paper's
 //! fifth message type): a sender may only have `window` unconsumed
 //! messages outstanding, and the receiver returns credits in batches as
-//! it consumes them. This module packages that protocol as a reusable
-//! channel — it is also what keeps reliable VIA connections from hitting
+//! it consumes them. [`CreditWindow`] is that rule with no I/O; the
+//! simulator, the live server's send and receive threads and
+//! [`CreditChannel`] all keep their windows in it. [`CreditChannel`]
+//! packages the protocol as a reusable channel — it is also what keeps
+//! reliable VIA connections from hitting
 //! [`crate::ViaError::ReceiverNotReady`].
 
+use std::collections::vec_deque::{Drain, VecDeque};
 use std::time::{Duration, Instant};
 
 use press_macros as press;
@@ -155,6 +159,108 @@ impl Doorbell {
     }
 }
 
+/// PRESS credit flow control over one directed link, sans-IO (no I/O,
+/// clock or randomness). The sender side holds the credits and, in FIFO
+/// order, the messages the window stalled; the receiver side counts
+/// consumed messages into batched credit returns. A link's two sides
+/// live in one value (the simulator) or one per endpoint (the live
+/// server, [`CreditChannel`]). Credits never exceed the window, and
+/// nothing is queued while a credit remains.
+///
+/// ```
+/// use press_via::CreditWindow;
+/// let (mut tx, mut rx) = (CreditWindow::new(1, 1), CreditWindow::<()>::new(1, 1));
+/// assert_eq!(tx.admit('a'), Some('a'));
+/// assert_eq!(tx.admit('b'), None, "'b' waits for a credit");
+/// assert_eq!(tx.grant(rx.consume().unwrap()).collect::<Vec<_>>(), ['b']);
+/// ```
+#[derive(Debug)]
+pub struct CreditWindow<M> {
+    window: u32,
+    credits: u32,
+    stalled: VecDeque<M>,
+    batch: u32,
+    unreturned: u32,
+}
+
+impl<M> CreditWindow<M> {
+    /// A fresh link: `window` credits, nothing stalled, credits returned
+    /// every `batch` consumed messages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0`, `batch == 0`, `batch > window`, or
+    /// `window % batch != 0` (credits would leak otherwise).
+    pub fn new(window: u32, batch: u32) -> Self {
+        assert!(window > 0 && batch > 0, "window and batch must be positive");
+        assert!(batch <= window, "batch cannot exceed the window");
+        assert_eq!(window % batch, 0, "window must be a multiple of batch");
+        CreditWindow {
+            window,
+            credits: window,
+            stalled: VecDeque::new(),
+            batch,
+            unreturned: 0,
+        }
+    }
+
+    /// Credits the sender holds.
+    pub fn credits(&self) -> u32 {
+        self.credits
+    }
+
+    /// Messages waiting for a credit.
+    pub fn stalled(&self) -> usize {
+        self.stalled.len()
+    }
+
+    /// Takes a credit for `msg` and hands it back to be sent now, or
+    /// queues it behind the stall and returns `None`.
+    pub fn admit(&mut self, msg: M) -> Option<M> {
+        if self.credits == 0 {
+            self.stalled.push_back(msg);
+            return None;
+        }
+        self.credits -= 1;
+        Some(msg)
+    }
+
+    /// Returns `n` credits and drains the stalled messages they fund, in
+    /// FIFO order; each drained message has its credit taken. Credits
+    /// are clamped to the window: a stale return consumed before a
+    /// [`CreditWindow::reset`] must not push them past it, or a sender
+    /// could overwrite a receive slot the peer has not consumed.
+    pub fn grant(&mut self, n: u32) -> Drain<'_, M> {
+        self.credits = self.credits.saturating_add(n).min(self.window);
+        let released = (self.credits as usize).min(self.stalled.len());
+        self.credits -= released as u32;
+        self.stalled.drain(..released)
+    }
+
+    /// Discards the stalled messages, keeping the credits; returns how
+    /// many were lost.
+    pub fn drop_stalled(&mut self) -> usize {
+        self.stalled.drain(..).count()
+    }
+
+    /// A fresh connection after a peer crashed or rejoined: a full
+    /// window, no pending return, and the stalled messages dropped.
+    /// They never took a credit, so this is loss, not leak; returns how
+    /// many.
+    pub fn reset(&mut self) -> usize {
+        self.credits = self.window;
+        self.unreturned = 0;
+        self.drop_stalled()
+    }
+
+    /// Receiver side: counts one consumed message, and returns the
+    /// credits to send back once a batch of them has accumulated.
+    pub fn consume(&mut self) -> Option<u32> {
+        self.unreturned = (self.unreturned + 1) % self.batch;
+        (self.unreturned == 0).then_some(self.batch)
+    }
+}
+
 /// One direction of a credit-controlled message channel between two NICs.
 ///
 /// Construction posts `window` receive buffers of `buf_bytes` each at the
@@ -190,20 +296,16 @@ pub struct CreditChannel {
 #[derive(Debug)]
 enum Side {
     Sender {
-        credits: u32,
+        window: CreditWindow<()>,
         send_region: MemHandle,
         buf_bytes: usize,
         next_slot: usize,
-        window: u32,
-        outstanding_sends: u32,
     },
     Receiver {
+        window: CreditWindow<()>,
         recv_region: MemHandle,
         ack_region: MemHandle,
         buf_bytes: usize,
-        consumed_since_credit: u32,
-        batch: u32,
-        outstanding_acks: u32,
     },
 }
 
@@ -227,9 +329,8 @@ impl CreditChannel {
         batch: u32,
         buf_bytes: usize,
     ) -> Result<(CreditChannel, CreditChannel), ViaError> {
-        assert!(window > 0 && batch > 0, "window and batch must be positive");
-        assert!(batch <= window, "batch cannot exceed the window");
-        assert_eq!(window % batch, 0, "window must be a multiple of batch");
+        let sender_window = CreditWindow::new(window, batch);
+        let receiver_window = CreditWindow::new(window, batch);
         let (vi_a, vi_b) = fabric.connect(a, b, Reliability::ReliableDelivery)?;
 
         // Sender side: staging buffers for outgoing messages, and small
@@ -252,23 +353,19 @@ impl CreditChannel {
             CreditChannel {
                 vi: vi_a,
                 side: Side::Sender {
-                    credits: window,
+                    window: sender_window,
                     send_region,
                     buf_bytes,
                     next_slot: 0,
-                    window,
-                    outstanding_sends: 0,
                 },
             },
             CreditChannel {
                 vi: vi_b,
                 side: Side::Receiver {
+                    window: receiver_window,
                     recv_region,
                     ack_region,
                     buf_bytes,
-                    consumed_since_credit: 0,
-                    batch,
-                    outstanding_acks: 0,
                 },
             },
         ))
@@ -288,13 +385,10 @@ impl CreditChannel {
     pub fn send(&mut self, data: &[u8], timeout: Duration) -> Result<(), ViaError> {
         let vi = self.vi.clone();
         let Side::Sender {
-            credits,
+            window,
             send_region,
             buf_bytes,
             next_slot,
-            window,
-            outstanding_sends,
-            ..
         } = &mut self.side
         else {
             panic!("send called on the receiving side");
@@ -302,25 +396,23 @@ impl CreditChannel {
         if data.len() > *buf_bytes {
             return Err(ViaError::RecvBufferTooSmall);
         }
-        while *credits == 0 {
-            // Wait for a credit-return message.
+        while window.credits() == 0 {
+            // Wait for a credit-return message. A blocking sender never
+            // stalls a message in the window, so the grant releases none.
             let c = vi.wait_recv_completion(timeout)?;
             if c.is_ok() {
-                *credits += u32::from_le_bytes(read_credit(&vi, &c)?);
+                let _ = window.grant(u32::from_le_bytes(read_credit(&vi, &c)?));
             }
         }
         // Reap send completions opportunistically so the queue can't grow
         // without bound.
-        while let Some(_c) = try_send_completion(&vi) {
-            *outstanding_sends = outstanding_sends.saturating_sub(1);
-        }
+        while try_send_completion(&vi).is_some() {}
         let slot = *next_slot;
-        *next_slot = (*next_slot + 1) % *window as usize;
+        *next_slot = (*next_slot + 1) % window.window as usize;
         let offset = slot * *buf_bytes;
         nic_write(&vi, *send_region, offset, data)?;
         vi.post_send(Descriptor::new(*send_region, offset, data.len()))?;
-        *credits -= 1;
-        *outstanding_sends += 1;
+        window.admit(()).expect("a credit was available");
         Ok(())
     }
 
@@ -338,12 +430,10 @@ impl CreditChannel {
     pub fn recv(&mut self, timeout: Duration) -> Result<Vec<u8>, ViaError> {
         let vi = self.vi.clone();
         let Side::Receiver {
+            window,
             recv_region,
             ack_region,
             buf_bytes,
-            consumed_since_credit,
-            batch,
-            outstanding_acks,
         } = &mut self.side
         else {
             panic!("recv called on the sending side");
@@ -357,16 +447,11 @@ impl CreditChannel {
             c.descriptor.offset,
             *buf_bytes,
         ))?;
-        *consumed_since_credit += 1;
-        if *consumed_since_credit >= *batch {
-            nic_write(&vi, *ack_region, 0, &consumed_since_credit.to_le_bytes())?;
+        if let Some(n) = window.consume() {
+            nic_write(&vi, *ack_region, 0, &n.to_le_bytes())?;
             vi.post_send(Descriptor::new(*ack_region, 0, 4))?;
-            *consumed_since_credit = 0;
-            *outstanding_acks += 1;
             // Reap ack-send completions.
-            while let Some(_c) = try_send_completion(&vi) {
-                *outstanding_acks = outstanding_acks.saturating_sub(1);
-            }
+            while try_send_completion(&vi).is_some() {}
         }
         Ok(data)
     }

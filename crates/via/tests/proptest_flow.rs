@@ -1,8 +1,10 @@
-//! Property-based tests of the VIA fabric and the credit channel.
+//! Property-based tests of the VIA fabric, the credit channel and the
+//! sans-IO credit window under it.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
-use press_via::{CreditChannel, Descriptor, Fabric, Reliability, RemoteBuffer};
+use press_via::{CreditChannel, CreditWindow, Descriptor, Fabric, Reliability, RemoteBuffer};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -126,6 +128,122 @@ proptest! {
         prop_assert!(arrived.len() <= count);
         if drop_prob == 0.0 {
             prop_assert_eq!(arrived.len(), count);
+        }
+    }
+}
+
+/// One operation on a credit window.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// Send the next message.
+    Admit,
+    /// A credit return of `n`; may exceed the window, like a stale Flow
+    /// arriving after a reset.
+    Grant(u32),
+    /// Peer repair: fresh connection.
+    Reset,
+    /// Peer evicted: drop what waits for it.
+    DropStalled,
+    /// The receiver consumed one message.
+    Consume,
+}
+
+impl Op {
+    /// Decodes a generated `(kind, n)` draw, weighted toward sends,
+    /// grants and consumption.
+    fn from_draw((kind, n): (u8, u32)) -> Op {
+        match kind {
+            0..=3 => Op::Admit,
+            4..=6 => Op::Grant(n),
+            7 => Op::Reset,
+            8 => Op::DropStalled,
+            _ => Op::Consume,
+        }
+    }
+}
+
+/// The plain reference: a credit counter and a queue, one message at a
+/// time.
+struct Reference {
+    window: u32,
+    credits: u32,
+    queue: VecDeque<u32>,
+    batch: u32,
+    pending: u32,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `CreditWindow` matches the counter-and-queue reference on random
+    /// operation sequences: credits never exceed the window (grants run
+    /// up to twice the largest window, like stale returns after a
+    /// reset), release is FIFO, nothing queues while a credit remains, a
+    /// reset reports exactly what was queued, and credit returns add up
+    /// to the messages consumed.
+    #[test]
+    fn credit_window_matches_reference(
+        batch_exp in 0u32..3,
+        window_exp in 0u32..4,
+        draws in vec((0u8..12, 0u32..34), 1..200),
+    ) {
+        let batch = 1u32 << batch_exp;
+        let window = batch << window_exp;
+        let mut w = CreditWindow::new(window, batch);
+        let mut r = Reference { window, credits: window, queue: VecDeque::new(), batch, pending: 0 };
+        let mut next = 0u32;
+        let (mut consumed, mut returned, mut discarded) = (0u32, 0u32, 0u32);
+        for op in draws.into_iter().map(Op::from_draw) {
+            match op {
+                Op::Admit => {
+                    let id = next;
+                    next += 1;
+                    let sent = w.admit(id);
+                    if r.credits > 0 {
+                        r.credits -= 1;
+                        // Nothing queues while a credit remains.
+                        prop_assert_eq!(sent, Some(id));
+                    } else {
+                        r.queue.push_back(id);
+                        prop_assert_eq!(sent, None);
+                    }
+                }
+                Op::Grant(n) => {
+                    let released: Vec<u32> = w.grant(n).collect();
+                    r.credits = (r.credits + n).min(r.window);
+                    let mut want = Vec::new();
+                    while r.credits > 0 {
+                        let Some(id) = r.queue.pop_front() else { break };
+                        r.credits -= 1;
+                        want.push(id);
+                    }
+                    prop_assert_eq!(released, want);
+                }
+                Op::Reset => {
+                    prop_assert_eq!(w.reset(), r.queue.len());
+                    r.queue.clear();
+                    r.credits = r.window;
+                    discarded += r.pending;
+                    r.pending = 0;
+                }
+                Op::DropStalled => {
+                    prop_assert_eq!(w.drop_stalled(), r.queue.len());
+                    r.queue.clear();
+                }
+                Op::Consume => {
+                    consumed += 1;
+                    r.pending += 1;
+                    let due = (r.pending == r.batch).then(|| std::mem::take(&mut r.pending));
+                    let got = w.consume();
+                    prop_assert_eq!(got, due);
+                    returned += got.unwrap_or(0);
+                }
+            }
+            prop_assert!(w.credits() <= window, "{} credits over a window of {}", w.credits(), window);
+            prop_assert_eq!(w.credits(), r.credits);
+            prop_assert_eq!(w.stalled(), r.queue.len());
+            prop_assert!(w.stalled() == 0 || w.credits() == 0, "queued while credits remain");
+            prop_assert_eq!(returned + discarded + r.pending, consumed);
         }
     }
 }
